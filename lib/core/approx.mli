@@ -20,8 +20,8 @@ type t = private {
   inputs : Linalg.Cmat.t array;  (** sampled input density matrices *)
   outputs : (int * Linalg.Cmat.t array) list;  (** per-tracepoint states *)
   basis : Linalg.Rmat.t Lazy.t;  (** HS-vectorized inputs for least squares *)
-  solver : (float array -> float array) Lazy.t;
-      (** cached normal-equation factorization *)
+  solver : Linalg.Rmat.lstsq Lazy.t;
+      (** cached normal-equation factorization and its adjoint *)
 }
 
 (** [make ~n_in ~inputs ~outputs] assembles an approximation directly from
@@ -59,6 +59,49 @@ val tracepoint_of_alpha : t -> tracepoint:int -> float array -> Linalg.Cmat.t
     the result is projected back to a valid density matrix. *)
 val state_at :
   ?mode:recovery -> ?physical:bool -> t -> tracepoint:int -> Linalg.Cmat.t -> Linalg.Cmat.t
+
+(** {2 The validation objective's forward and reverse pass}
+
+    Validation searches over coefficients [alpha]. A {!point} is one
+    evaluation of the map from [alpha] to the tracepoint states the
+    predicates read, kept together with what its reverse pass needs.
+
+    The candidate input [sum_i alpha_i sigma_in_i] is made physical per
+    [projection]:
+    - [`Trace]: the coefficients are divided by the input's trace (left
+      alone when it is within 1e-9 of zero);
+    - [`Psd]: the input is projected onto the density matrices
+      ({!Linalg.Eig.project_psd}) and decomposed again by least squares.
+
+    Every tracepoint, the input included, is then recombined from the
+    same physical coefficients. *)
+
+type projection = [ `Trace | `Psd ]
+
+type point
+
+(** [point ~projection t alpha] runs the forward pass at [alpha] (copied).
+    Tracepoint states are recombined on first use. *)
+val point : projection:projection -> t -> float array -> point
+
+(** [point_state p tp] is the state at tracepoint [tp] (0 = input);
+    [Not_found] for an unknown tracepoint. *)
+val point_state : point -> int -> Linalg.Cmat.t
+
+(** [point_vjp p cotangents] is the gradient with respect to [alpha] of a
+    function of the tracepoint states whose cotangents are [cotangents]:
+    [(tp, gbar)] pairs with [d value = sum Re (hs_inner gbar d state_tp)]
+    (repeated tracepoints add up). It chains back through the
+    recombination, the least-squares decomposition (on the cached
+    factor), the trace normalization, the PSD clip and the Hermitian
+    symmetrization. *)
+val point_vjp : point -> (int * Linalg.Cmat.t) list -> float array
+
+(** [evaluator ~projection t] is [point ~projection t], memoized on the
+    bits of the last [alpha]: the objective, every constraint and their
+    gradients at one point share one forward pass. Not safe to share
+    across domains. *)
+val evaluator : projection:projection -> t -> float array -> point
 
 (** [accuracy approx_state truth] is the paper's approximation-accuracy
     metric: the Uhlmann fidelity between the (physically projected)

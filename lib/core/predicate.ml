@@ -46,6 +46,53 @@ let eval p (env : env) =
       Float.abs (diff -. angle) -. 1e-9
   | Custom (_, f) -> f env
 
+(* d ||D|| = Re <D / ||D||, dD>; the zero subgradient at D = 0 *)
+let unit_direction d =
+  let n = Cmat.frob_norm d in
+  if n > 0. then Cmat.rscale (1. /. n) d else Cmat.rscale 0. d
+
+let vjp = function
+  | Phase_diff _ | Custom _ -> None
+  | Is_pure tp ->
+      Some
+        (fun (env : env) ->
+          (* E = rho rho^dag - rho: d||E|| = Re <(E rho + E^dag rho - E) / ||E||, d rho> *)
+          let rho = env tp in
+          let e = Cmat.sub (Cmat.mul rho (Cmat.adjoint rho)) rho in
+          let n = Cmat.frob_norm e in
+          let g =
+            Cmat.sub (Cmat.add (Cmat.mul e rho) (Cmat.mul (Cmat.adjoint e) rho)) e
+          in
+          [ (tp, if n > 0. then Cmat.rscale (1. /. n) g else Cmat.rscale 0. g) ])
+  | Purity_ge (tp, _) -> Some (fun env -> [ (tp, Cmat.rscale (-2.) (env tp)) ])
+  | Equals (a, b) | Distance_le (a, b, _) ->
+      Some
+        (fun env ->
+          let u = unit_direction (Cmat.sub (env a) (env b)) in
+          [ (a, u); (b, Cmat.rscale (-1.) u) ])
+  | Equals_const (tp, c) ->
+      Some (fun env -> [ (tp, unit_direction (Cmat.sub (env tp) c)) ])
+  | Not_equals_const (tp, c, _) ->
+      Some
+        (fun env ->
+          [ (tp, Cmat.rscale (-1.) (unit_direction (Cmat.sub (env tp) c))) ])
+  (* Re tr(P rho) = Re <P, rho> for Hermitian P *)
+  | Expect_ge (tp, pauli, _) ->
+      let g = Cmat.rscale (-1.) (Qstate.Pauli.matrix pauli) in
+      Some (fun _ -> [ (tp, g) ])
+  | Expect_le (tp, pauli, _) ->
+      let g = Qstate.Pauli.matrix pauli in
+      Some (fun _ -> [ (tp, g) ])
+  | Diag_in_range (tp, k, lo, hi) ->
+      Some
+        (fun env ->
+          let rho = env tp in
+          let d, _ = Cmat.dims rho in
+          let v = Cx.re (Cmat.get rho k k) in
+          let g = Cmat.create d d in
+          Cmat.set g k k (Cx.of_float (if lo -. v > v -. hi then -1. else 1.));
+          [ (tp, g) ])
+
 let holds ?(tol = 1e-6) p env = eval p env <= tol
 
 let tracepoints = function

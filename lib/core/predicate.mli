@@ -28,6 +28,14 @@ type t =
 (** [eval p env] is the objective value; [<= 0] iff the predicate holds. *)
 val eval : t -> env -> float
 
+(** [vjp p] is the reverse-mode derivative of {!eval}: given an
+    environment it returns one cotangent per mentioned tracepoint, as
+    [(tp, gbar)] pairs with [d (eval p env) = sum Re (hs_inner gbar d (env tp))].
+    Norms take the zero subgradient at zero distance, and
+    [Diag_in_range] takes the active side of its [max]. [None] for
+    [Phase_diff] and [Custom], which have no adjoint. *)
+val vjp : t -> (env -> (int * Linalg.Cmat.t) list) option
+
 (** [holds ?tol p env] tests the predicate with tolerance [tol]
     (default 1e-6). *)
 val holds : ?tol:float -> t -> env -> bool

@@ -29,45 +29,48 @@ let default_options =
     restarts = 2;
   }
 
-(* Environment over tracepoints for a given alpha. The input (id 0) is made
-   physical per the chosen projection; downstream tracepoint states are
-   recombined from the SAME projected-input coefficients so that they remain
-   consistent images of one physical input. *)
-let env_of_alpha ~projection (approx : Approx.t) alpha : Predicate.env =
-  let cache = Hashtbl.create 4 in
-  let phys_alpha =
-    lazy
-      (match projection with
-      | `Trace ->
-          let raw = Approx.input_of_alpha approx alpha in
-          let t = Cx.re (Cmat.trace raw) in
-          if Float.abs t > 1e-9 then
-            Array.map (fun a -> a /. t) alpha
-          else alpha
-      | `Psd ->
-          let raw = Approx.input_of_alpha approx alpha in
-          let projected = Eig.project_psd raw in
-          Approx.decompose ~mode:`Least_squares approx projected)
+(* The validation problem over alpha. One memoized evaluator serves the
+   objective, every constraint and their gradients, so a point costs one
+   forward pass however many of them read it. An objective gets an exact
+   gradient when every predicate it reads has an adjoint; the max over
+   several guarantees is differentiated through its first maximizer. *)
+let problem ?(options = default_options) approx assertion =
+  let dim = Approx.n_sample approx in
+  let eval = Approx.evaluator ~projection:options.projection approx in
+  let objective ~value preds =
+    let vjps = List.filter_map Predicate.vjp preds in
+    let grad alpha =
+      let p = eval alpha in
+      let env = Approx.point_state p in
+      let _, active =
+        List.fold_left2
+          (fun ((best, _) as acc) pred vjp ->
+            let v = Predicate.eval pred env in
+            if v > best then (v, vjp) else acc)
+          (neg_infinity, List.hd vjps)
+          preds vjps
+      in
+      Approx.point_vjp p (active env)
+    in
+    let grad =
+      if vjps <> [] && List.compare_lengths vjps preds = 0 then Some grad
+      else None
+    in
+    Optimize.Objective.make ~dim ?grad (fun alpha ->
+        value (Approx.point_state (eval alpha)))
   in
-  fun tp ->
-    match Hashtbl.find_opt cache tp with
-    | Some m -> m
-    | None ->
-        let a = Lazy.force phys_alpha in
-        (* every tracepoint, the input included, is recombined from the SAME
-           physical coefficients, so predicates compare exactly the
-           characterized relation rather than approximation residue *)
-        let m =
-          if tp = 0 then Approx.input_of_alpha approx a
-          else Approx.tracepoint_of_alpha approx ~tracepoint:tp a
-        in
-        Hashtbl.replace cache tp m;
-        m
-
-let guarantee_objective assertion env =
-  List.fold_left
-    (fun acc p -> Float.max acc (Predicate.eval p env))
-    neg_infinity assertion.Assertion.guarantees
+  let guarantees = assertion.Assertion.guarantees in
+  {
+    Optimize.Constrained.objective =
+      objective guarantees ~value:(fun env ->
+          List.fold_left
+            (fun acc p -> Float.max acc (Predicate.eval p env))
+            neg_infinity guarantees);
+    constraints =
+      List.map
+        (fun p -> objective [ p ] ~value:(Predicate.eval p))
+        assertion.Assertion.assumes;
+  }
 
 (* dominant eigenvector of a density matrix, as a pure-state input *)
 let dominant_eigenvector rho =
@@ -117,18 +120,7 @@ let validate_direct ?(options = default_options) ?rng ?confirm approx assertion 
     Obs.Metrics.counter_add "verify_restarts_total" (max 1 options.restarts);
   let rng = match rng with Some r -> r | None -> Stats.Rng.make 11 in
   let dim = Approx.n_sample approx in
-  let projection = options.projection in
-  let objective =
-    Optimize.Objective.make ~dim (fun alpha ->
-        let env = env_of_alpha ~projection approx alpha in
-        guarantee_objective assertion env)
-  in
-  let constraints =
-    List.map
-      (fun p alpha -> Predicate.eval p (env_of_alpha ~projection approx alpha))
-      assertion.Assertion.assumes
-  in
-  let problem = { Optimize.Constrained.objective; constraints } in
+  let problem = problem ~options approx assertion in
   let best_violation = ref None and best_clean = ref None in
   (try
      for _ = 1 to max 1 options.restarts do
@@ -140,8 +132,11 @@ let validate_direct ?(options = default_options) ?rng ?confirm approx assertion 
          sol.Optimize.Constrained.feasible
          && sol.Optimize.Constrained.value > options.epsilon_obj
        then begin
-         let env = env_of_alpha ~projection approx sol.Optimize.Constrained.x in
-         let counterexample = Eig.project_psd (env 0) in
+         let p =
+           Approx.point ~projection:options.projection approx
+             sol.Optimize.Constrained.x
+         in
+         let counterexample = Eig.project_psd (Approx.point_state p 0) in
          if confirmed_violation ~rng confirm assertion counterexample then begin
            best_violation :=
              Some
@@ -199,7 +194,7 @@ let validate ?(options = default_options) ?rng ?confirm ?cache approx assertion 
         Cache.Canon.digest
           (String.concat "\x00"
              [
-               "verdict-v1";
+               "verdict-v2";
                Cache.Canon.digest
                  (Marshal.to_string
                     ( approx.Approx.n_in,

@@ -2,11 +2,21 @@
     assumption constraints into a constrained maximization over the
     decomposition coefficients [alpha] and solve it classically.
 
-    The candidate input is [rho(alpha) = sum alpha_i sigma_in_i], kept
-    physical by Hermitian symmetrization and trace normalization inside the
-    objective (cheap) with a final PSD projection on the reported
-    counter-example. The assertion holds when the maximal guarantee
-    objective stays [<= epsilon_obj]. *)
+    The candidate input is [rho(alpha) = sum alpha_i sigma_in_i]. Inside
+    the objective it is made physical per [options.projection]: by
+    default ([`Psd]) it is projected onto the density matrices and
+    decomposed again, and every tracepoint state is recombined from those
+    coefficients ({!Approx.point}); [`Trace] only normalizes the trace.
+    The reported counter-example gets a final PSD projection. The
+    assertion holds when the maximal guarantee objective stays
+    [<= epsilon_obj].
+
+    The objective and each constraint carry an exact reverse-mode
+    gradient when every predicate they read has one ({!Predicate.vjp}),
+    so a gradient costs about one evaluation instead of [2 * dim];
+    objectives over [Phase_diff] or [Custom] use central differences.
+    The objective, the constraints and their gradients share one forward
+    pass per point. *)
 
 type verdict =
   | Verified of {
@@ -21,7 +31,10 @@ type verdict =
 
 type options = {
   solver : Optimize.Solvers.method_;
-  budget : int;  (** objective-evaluation budget *)
+  budget : int;
+      (** objective-evaluation budget; solver iterations are sized as if
+          every gradient were numeric ([2 * dim] evaluations), so an
+          exact gradient runs the same search with fewer evaluations *)
   epsilon_obj : float;  (** violation tolerance on the guarantee objective *)
   epsilon_acc : float;  (** accuracy threshold for confidence (Theorem 3) *)
   recovery : Approx.recovery;
@@ -33,6 +46,13 @@ type options = {
 }
 
 val default_options : options
+
+(** [problem ?options approx assertion] is the constrained maximization
+    {!validate} solves: maximize the largest guarantee objective subject
+    to every assume's objective being [<= 0], over [alpha] in
+    [[-1, 1]^n_sample], through one shared, memoized evaluator. *)
+val problem :
+  ?options:options -> Approx.t -> Assertion.t -> Optimize.Constrained.problem
 
 (** [validate ?options ?rng ?confirm approx assertion] solves the
     constrained maximization and returns the verdict. When [confirm] is

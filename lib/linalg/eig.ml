@@ -115,27 +115,64 @@ let hermitian a0 =
   in
   (w_sorted, v_sorted)
 
-let funm f a =
-  let w, v = hermitian a in
+let funm_of_eig f (w, v) =
   let n = Array.length w in
   let d =
     Cmat.init n n (fun i j -> if i = j then Cx.of_float (f w.(i)) else Cx.zero)
   in
   Cmat.mul3 v d (Cmat.adjoint v)
 
+let funm f a = funm_of_eig f (hermitian a)
 let sqrtm_psd a = funm (fun x -> sqrt (Float.max x 0.)) a
+let clip x = Float.max x 0.
+
+(* Daleckii-Krein divided differences of [clip] on the spectrum: the
+   derivative of [clip] applied to a Hermitian matrix is
+   dH -> V (F o (V^dag dH V)) V^dag. [clip] is piecewise linear, so the
+   quotient is exact for distinct eigenvalues; equal ones take the one-sided
+   slope (0 at a zero eigenvalue, the subgradient at the kink). *)
+let clip_divided_differences w =
+  let n = Array.length w in
+  Array.init (n * n) (fun k ->
+      let wi = w.(k / n) and wj = w.(k mod n) in
+      if wi = wj then if wi > 0. then 1. else 0.
+      else (clip wi -. clip wj) /. (wi -. wj))
+
+let project_psd_vjp a =
+  let n = fst (Cmat.dims a) in
+  let ((w, v) as eig) = hermitian (Cmat.hermitize a) in
+  let clipped = funm_of_eig clip eig in
+  let t = Cx.re (Cmat.trace clipped) in
+  if t <= 1e-14 then
+    (* fully clipped: fall back to the maximally mixed state, a constant *)
+    ( Cmat.rscale (1. /. float_of_int n) (Cmat.identity n),
+      fun _ -> Cmat.create n n )
+  else
+    let vjp pbar =
+      (* P = C / t with t = Re tr C *)
+      let s = Cx.re (Cmat.hs_inner pbar clipped) /. (t *. t) in
+      let cbar = Cmat.rscale (1. /. t) pbar in
+      for i = 0 to n - 1 do
+        let k = (i * n) + i in
+        cbar.Cmat.re.(k) <- cbar.Cmat.re.(k) -. s
+      done;
+      (* C = clip(H): the Daleckii-Krein map is self-adjoint for real
+         symmetric F *)
+      let f = clip_divided_differences w in
+      let inner = Cmat.mul3 (Cmat.adjoint v) cbar v in
+      Array.iteri
+        (fun k fk ->
+          inner.Cmat.re.(k) <- fk *. inner.Cmat.re.(k);
+          inner.Cmat.im.(k) <- fk *. inner.Cmat.im.(k))
+        f;
+      (* H = (A + A^dag) / 2 *)
+      Cmat.hermitize (Cmat.mul3 v inner (Cmat.adjoint v))
+    in
+    (Cmat.rscale (1. /. t) clipped, vjp)
 
 let project_psd ?(unit_trace = true) a =
-  let clipped = funm (fun x -> Float.max x 0.) (Cmat.hermitize a) in
-  if not unit_trace then clipped
-  else
-    let t = Cx.re (Cmat.trace clipped) in
-    if t <= 1e-14 then
-      (* fully clipped: fall back to the maximally mixed state *)
-      Cmat.rscale
-        (1. /. float_of_int (fst (Cmat.dims a)))
-        (Cmat.identity (fst (Cmat.dims a)))
-    else Cmat.rscale (1. /. t) clipped
+  if unit_trace then fst (project_psd_vjp a)
+  else funm clip (Cmat.hermitize a)
 
 let max_eigenvalue a =
   let w, _ = hermitian a in

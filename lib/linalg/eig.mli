@@ -24,5 +24,16 @@ val sqrtm_psd : Cmat.t -> Cmat.t
     valid density matrix. *)
 val project_psd : ?unit_trace:bool -> Cmat.t -> Cmat.t
 
+(** [project_psd_vjp a] is [(project_psd a, vjp)]: the unit-trace
+    projection, bit-identical to {!project_psd}, together with its
+    vector-Jacobian product. [vjp pbar] maps a cotangent of the projection
+    to the cotangent of [a] under the real inner product
+    [Re (Cmat.hs_inner x y)]: through the trace normalization, the
+    eigenvalue clip (Daleckii-Krein, on the eigendecomposition the forward
+    pass computed) and the Hermitian symmetrization. The result is
+    Hermitian. The fully clipped fallback (maximally mixed state) is
+    constant, so its [vjp] is zero. *)
+val project_psd_vjp : Cmat.t -> Cmat.t * (Cmat.t -> Cmat.t)
+
 (** [max_eigenvalue a] is the largest eigenvalue of the Hermitian matrix [a]. *)
 val max_eigenvalue : Cmat.t -> float

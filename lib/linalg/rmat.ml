@@ -128,9 +128,9 @@ let cholesky m =
   done;
   l
 
-let solve_spd m b =
-  let l = cholesky m in
-  let n = m.rows in
+(* forward/back substitution against a Cholesky factor [l] of an n x n
+   system *)
+let cholesky_solve l n b =
   let y = Array.make n 0. in
   for i = 0 to n - 1 do
     let s = ref b.(i) in
@@ -149,46 +149,33 @@ let solve_spd m b =
   done;
   x
 
-let lstsq ?(ridge = 1e-10) m b =
-  let at = transpose m in
-  let ata = mul at m in
-  let n = ata.rows in
-  for i = 0 to n - 1 do
-    set ata i i (get ata i i +. ridge)
-  done;
-  let atb = apply at b in
-  try solve_spd ata atb with Failure _ -> solve ata atb
+let solve_spd m b = cholesky_solve (cholesky m) m.rows b
 
-let lstsq_solver ?(ridge = 1e-10) m =
+type lstsq = {
+  solve : float array -> float array;
+  adjoint : float array -> float array;
+}
+
+(* x = N^-1 A^T b with N = A^T A + ridge I symmetric, so the adjoint map is
+   xbar -> A N^-1 xbar and reuses the same factor *)
+let lstsq_factor ?(ridge = 1e-10) m =
   let at = transpose m in
   let ata = mul at m in
   let n = ata.rows in
   for i = 0 to n - 1 do
     set ata i i (get ata i i +. ridge)
   done;
-  match cholesky ata with
-  | l ->
-      fun b ->
-        let atb = apply at b in
-        (* forward/back substitution against the cached factor *)
-        let y = Array.make n 0. in
-        for i = 0 to n - 1 do
-          let s = ref atb.(i) in
-          for k = 0 to i - 1 do
-            s := !s -. (get l i k *. y.(k))
-          done;
-          y.(i) <- !s /. get l i i
-        done;
-        let x = Array.make n 0. in
-        for i = n - 1 downto 0 do
-          let s = ref y.(i) in
-          for k = i + 1 to n - 1 do
-            s := !s -. (get l k i *. x.(k))
-          done;
-          x.(i) <- !s /. get l i i
-        done;
-        x
-  | exception Failure _ -> fun b -> solve ata (apply at b)
+  let normal_solve =
+    match cholesky ata with
+    | l -> cholesky_solve l n
+    | exception Failure _ -> solve ata
+  in
+  {
+    solve = (fun b -> normal_solve (apply at b));
+    adjoint = (fun xbar -> apply m (normal_solve xbar));
+  }
+
+let lstsq ?ridge m b = (lstsq_factor ?ridge m).solve b
 
 let equal ?(eps = 1e-12) x y =
   x.rows = y.rows && x.cols = y.cols

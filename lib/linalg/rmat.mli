@@ -37,10 +37,21 @@ val solve_spd : t -> float array -> float array
     keeps the normal equations well-posed for rank-deficient sampling sets. *)
 val lstsq : ?ridge:float -> t -> float array -> float array
 
-(** [lstsq_solver ?ridge a] factorizes the normal equations once and returns
-    a fast solver [b -> x] for repeated right-hand sides (the hot path of the
-    isomorphism-based approximation). *)
-val lstsq_solver : ?ridge:float -> t -> float array -> float array
+(** A factorized least-squares map [b -> x] and its adjoint. *)
+type lstsq = {
+  solve : float array -> float array;
+      (** [b -> x], the minimizer of [||a x - b||^2 + ridge ||x||^2] *)
+  adjoint : float array -> float array;
+      (** the transpose of the (linear) [solve] map: [xbar -> bbar] with
+          [dot xbar (solve b) = dot (adjoint xbar) b] *)
+}
+
+(** [lstsq_factor ?ridge a] factorizes the normal equations once
+    (Cholesky, with a pivoted-elimination fallback) and returns the solver
+    for repeated right-hand sides together with its adjoint, which reuses
+    the same factor (the hot path of the isomorphism-based approximation
+    and of its gradient). *)
+val lstsq_factor : ?ridge:float -> t -> lstsq
 
 val equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -7,7 +7,8 @@
 
 type problem = {
   objective : Objective.t;  (** to maximize *)
-  constraints : (float array -> float) list;  (** feasible iff all <= 0 *)
+  constraints : Objective.t list;
+      (** feasible iff every [f] is [<= 0]; only [f] and [grad] are read *)
 }
 
 type solution = {
@@ -17,6 +18,12 @@ type solution = {
   feasible : bool;  (** violation below tolerance *)
   evals : int;
 }
+
+(** [penalized ~mu problem] is the unconstrained objective
+    [f - mu * sum max(0, g)^2] over the objective's box. It carries the
+    exact gradient [grad f - mu * sum 2 max(0, g) grad g] when the
+    objective and every constraint carry one, and no gradient otherwise. *)
+val penalized : mu:float -> problem -> Objective.t
 
 (** [maximize ?budget ?rounds ?tol ~method_ rng problem] runs the penalty
     loop. [rounds] (default 4) controls how many times the penalty weight is

@@ -1,11 +1,12 @@
 type t = {
   dim : int;
   f : float array -> float;
+  grad : (float array -> float array) option;
   lower : float array;
   upper : float array;
 }
 
-let make ~dim ?lower ?upper f =
+let make ~dim ?lower ?upper ?grad f =
   if dim <= 0 then invalid_arg "Objective.make: non-positive dimension";
   let lower = match lower with Some l -> l | None -> Array.make dim (-1.) in
   let upper = match upper with Some u -> u | None -> Array.make dim 1. in
@@ -14,7 +15,7 @@ let make ~dim ?lower ?upper f =
   Array.iteri
     (fun i l -> if l > upper.(i) then invalid_arg "Objective.make: empty box")
     lower;
-  { dim; f; lower; upper }
+  { dim; f; grad; lower; upper }
 
 let clamp t x =
   for i = 0 to t.dim - 1 do
@@ -33,3 +34,5 @@ let num_grad ?(eps = 1e-5) t x =
       let fm = t.f x in
       x.(i) <- xi;
       (fp -. fm) /. (2. *. eps))
+
+let gradient t x = match t.grad with Some g -> g x | None -> num_grad t x

@@ -1,28 +1,51 @@
 type solution = { x : float array; value : float; evals : int }
 
+type counts = { mutable values : int; mutable analytic : int; mutable numeric : int }
+
+(* Wraps the objective so every value eval and every gradient is counted.
+   The wrapped objective always carries a gradient: the caller's exact one,
+   or central differences over the counted [f] (so numeric probes still
+   count as value evals, as they always have). *)
 let counting_objective (obj : Objective.t) =
-  let evals = ref 0 in
+  let c = { values = 0; analytic = 0; numeric = 0 } in
   let f x =
-    incr evals;
+    c.values <- c.values + 1;
     obj.Objective.f x
   in
-  ({ obj with Objective.f }, evals)
+  let counted = { obj with Objective.f } in
+  let grad x =
+    match obj.Objective.grad with
+    | Some g ->
+        c.analytic <- c.analytic + 1;
+        g x
+    | None ->
+        c.numeric <- c.numeric + 1;
+        Objective.num_grad counted x
+  in
+  ({ counted with Objective.grad = Some grad }, c)
 
 let better a b = if b.value > a.value then b else a
 
-(* iteration counts are closed-form in the solver parameters and eval
-   counts come from [counting_objective], so both are independent of
-   timing and domain count *)
-let record_solver name ~iterations ~evals =
+(* iteration counts are closed-form in the solver parameters, and eval and
+   gradient counts come from [counting_objective], so all are independent
+   of timing and domain count *)
+let record_solver name ~iterations (c : counts) =
   if Obs.enabled () then begin
     let labels = [ ("solver", name) ] in
     Obs.Metrics.counter_add ~labels "solver_iterations_total" iterations;
-    Obs.Metrics.counter_add ~labels "solver_evals_total" evals
+    Obs.Metrics.counter_add ~labels "solver_evals_total" c.values;
+    List.iter
+      (fun (kind, n) ->
+        if n > 0 then
+          Obs.Metrics.counter_add
+            ~labels:(labels @ [ ("kind", kind) ])
+            "solver_gradients_total" n)
+      [ ("analytic", c.analytic); ("numeric", c.numeric) ]
   end
 
 let adam ?(iters = 200) ?(restarts = 4) ?(lr = 0.05) rng obj =
   Obs.Span.with_ ~name:"solver.sgd-adam" @@ fun () ->
-  let obj, evals = counting_objective obj in
+  let obj, counts = counting_objective obj in
   let dim = obj.Objective.dim in
   let best = ref { x = Array.make dim 0.; value = neg_infinity; evals = 0 } in
   for _ = 1 to restarts do
@@ -30,7 +53,7 @@ let adam ?(iters = 200) ?(restarts = 4) ?(lr = 0.05) rng obj =
     let m = Array.make dim 0. and v = Array.make dim 0. in
     let beta1 = 0.9 and beta2 = 0.999 and eps = 1e-8 in
     for t = 1 to iters do
-      let g = Objective.num_grad obj x in
+      let g = Objective.gradient obj x in
       for i = 0 to dim - 1 do
         m.(i) <- (beta1 *. m.(i)) +. ((1. -. beta1) *. g.(i));
         v.(i) <- (beta2 *. v.(i)) +. ((1. -. beta2) *. g.(i) *. g.(i));
@@ -43,12 +66,12 @@ let adam ?(iters = 200) ?(restarts = 4) ?(lr = 0.05) rng obj =
     let value = obj.Objective.f x in
     best := better !best { x = Array.copy x; value; evals = 0 }
   done;
-  record_solver "sgd-adam" ~iterations:(restarts * iters) ~evals:!evals;
-  { !best with evals = !evals }
+  record_solver "sgd-adam" ~iterations:(restarts * iters) counts;
+  { !best with evals = counts.values }
 
 let anneal ?(iters = 2000) ?(restarts = 2) ?(temp0 = 1.) rng obj =
   Obs.Span.with_ ~name:"solver.annealing" @@ fun () ->
-  let obj, evals = counting_objective obj in
+  let obj, counts = counting_objective obj in
   let dim = obj.Objective.dim in
   let best = ref { x = Array.make dim 0.; value = neg_infinity; evals = 0 } in
   for _ = 1 to restarts do
@@ -77,12 +100,12 @@ let anneal ?(iters = 2000) ?(restarts = 2) ?(temp0 = 1.) rng obj =
       temp := !temp *. cooling
     done
   done;
-  record_solver "annealing" ~iterations:(restarts * iters) ~evals:!evals;
-  { !best with evals = !evals }
+  record_solver "annealing" ~iterations:(restarts * iters) counts;
+  { !best with evals = counts.values }
 
 let genetic ?(generations = 60) ?(population = 40) ?(mutation = 0.15) rng obj =
   Obs.Span.with_ ~name:"solver.genetic" @@ fun () ->
-  let obj, evals = counting_objective obj in
+  let obj, counts = counting_objective obj in
   let dim = obj.Objective.dim in
   let eval x = obj.Objective.f x in
   let pop =
@@ -118,23 +141,24 @@ let genetic ?(generations = 60) ?(population = 40) ?(mutation = 0.15) rng obj =
   done;
   Array.sort (fun (_, fa) (_, fb) -> compare fb fa) pop;
   let x, value = pop.(0) in
-  record_solver "genetic" ~iterations:generations ~evals:!evals;
-  { x; value; evals = !evals }
+  record_solver "genetic" ~iterations:generations counts;
+  { x; value; evals = counts.values }
 
 (* Projected ascent with exact line search under a local quadratic model
    along each search direction: for quadratic objectives the 1-D restriction
    is exactly quadratic, so the step is optimal; curvature is probed by a
    second evaluation. Directions cycle through conjugate-ish gradient
-   estimates (Polak-Ribiere on numeric gradients). *)
+   estimates (Polak-Ribiere on [Objective.gradient]: exact when the
+   objective carries a gradient, central differences otherwise). *)
 let qp ?(iters = 80) ?(restarts = 3) rng obj =
   Obs.Span.with_ ~name:"solver.quadratic" @@ fun () ->
-  let obj, evals = counting_objective obj in
+  let obj, counts = counting_objective obj in
   let dim = obj.Objective.dim in
   let best = ref { x = Array.make dim 0.; value = neg_infinity; evals = 0 } in
   let dot a b = Array.fold_left ( +. ) 0. (Array.map2 ( *. ) a b) in
   for _ = 1 to restarts do
     let x = Objective.random_point obj rng in
-    let g = ref (Objective.num_grad obj x) in
+    let g = ref (Objective.gradient obj x) in
     let d = ref (Array.copy !g) in
     for _ = 1 to iters do
       let dn = sqrt (dot !d !d) in
@@ -161,7 +185,7 @@ let qp ?(iters = 80) ?(restarts = 3) rng obj =
           x.(i) <- x.(i) +. (t_star *. dir.(i))
         done;
         Objective.clamp obj x;
-        let g_new = Objective.num_grad obj x in
+        let g_new = Objective.gradient obj x in
         (* Polak-Ribiere conjugate direction update *)
         let beta =
           Float.max 0.
@@ -174,8 +198,8 @@ let qp ?(iters = 80) ?(restarts = 3) rng obj =
     let value = obj.Objective.f x in
     best := better !best { x = Array.copy x; value; evals = 0 }
   done;
-  record_solver "quadratic" ~iterations:(restarts * iters) ~evals:!evals;
-  { !best with evals = !evals }
+  record_solver "quadratic" ~iterations:(restarts * iters) counts;
+  { !best with evals = counts.values }
 
 type method_ = [ `Adam | `Anneal | `Genetic | `Qp ]
 

@@ -5,8 +5,10 @@
 
 type solution = { x : float array; value : float; evals : int }
 
-(** [adam ?iters ?restarts ?lr rng obj] — Adam gradient ascent with numeric
-    gradients and random restarts (the paper's "SGD" solver). *)
+(** [adam ?iters ?restarts ?lr rng obj] — Adam gradient ascent with
+    random restarts (the paper's "SGD" solver). Gradients come from
+    {!Objective.gradient}: exact when [obj] carries one, central
+    differences otherwise. *)
 val adam :
   ?iters:int -> ?restarts:int -> ?lr:float -> Stats.Rng.t -> Objective.t -> solution
 
@@ -35,5 +37,13 @@ type method_ = [ `Adam | `Anneal | `Genetic | `Qp ]
 val method_to_string : method_ -> string
 
 (** [maximize ?budget method rng obj] dispatches on the method with a
-    roughly comparable evaluation budget. *)
+    roughly comparable evaluation budget. Iteration counts of the
+    gradient methods are sized as if every gradient cost [2 * dim] value
+    evals (central differences), whether or not [obj] carries an exact
+    gradient: an exact gradient runs the same search with fewer evals.
+
+    Every solver records [solver_iterations_total{solver}],
+    [solver_evals_total{solver}] (value evals, numeric-gradient probes
+    included) and [solver_gradients_total{solver,kind}] with [kind] one
+    of [analytic] or [numeric] when observability is enabled. *)
 val maximize : ?budget:int -> method_ -> Stats.Rng.t -> Objective.t -> solution

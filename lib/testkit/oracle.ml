@@ -584,3 +584,264 @@ let pvalue_uniform_under_null circ =
   in
   let cdf x = Float.min 1. (Float.max 0. x) in
   (Stats.Tests.ks_one_sample ~cdf pvalues).Stats.Tests.pvalue > 1e-4
+
+(* ---- validation objective: gradients and bit-identical values ---- *)
+
+(* The generated pure circuit, with a one-qubit tracepoint (98) on qubit 0
+   and a full-register one (99) appended, characterized at the Theorem 2
+   budget. *)
+let validation_approx circ =
+  let c = Gen.build circ in
+  let n = Circuit.num_qubits c in
+  let c =
+    c |> Circuit.tracepoint 98 [ 0 ] |> Circuit.tracepoint 99 (List.init n Fun.id)
+  in
+  let program = Morphcore.Program.make c in
+  let ch =
+    Morphcore.Characterize.run ~rng:(Stats.Rng.make 31) program
+      ~count:(Morphcore.Approx.samples_for_full_accuracy ~n_in:n)
+  in
+  (n, Morphcore.Approx.of_characterization ch)
+
+(* one predicate of every kind that has an adjoint, over the input (0),
+   tracepoint 98 and tracepoint 99 *)
+let adjoint_predicates n =
+  let open Morphcore.Predicate in
+  let d = 1 lsl n in
+  let ket k =
+    Linalg.Cmat.init 2 2 (fun i j ->
+        if i = k && j = k then Linalg.Cx.one else Linalg.Cx.zero)
+  in
+  [
+    Is_pure 99;
+    Purity_ge (98, 0.8);
+    Equals (0, 99);
+    Equals_const (98, ket 0);
+    Not_equals_const (98, ket 1, 0.5);
+    Distance_le (0, 99, 0.3);
+    Expect_ge (99, Qstate.Pauli.single n 0 Qstate.Pauli.Z, 0.2);
+    Expect_le (98, [| Qstate.Pauli.X |], 0.1);
+    Diag_in_range (99, d - 1, 0.2, 0.6);
+  ]
+
+let validation_assumes n =
+  let open Morphcore.Predicate in
+  [
+    Purity_ge (0, 0.7);
+    Diag_in_range (0, 0, 0.3, 0.7);
+    Expect_le (99, Qstate.Pauli.single n (n - 1) Qstate.Pauli.X, 0.);
+  ]
+
+(* the assertions the gradient oracles sweep: each adjoint predicate alone,
+   with the assumes, and as a max of two guarantees *)
+let validation_assertions n =
+  let preds = adjoint_predicates n in
+  let second = Morphcore.Predicate.Purity_ge (99, 0.9) in
+  List.concat_map
+    (fun p ->
+      [
+        Morphcore.Assertion.make ~assumes:[] ~guarantees:[ p ] ();
+        Morphcore.Assertion.make ~assumes:(validation_assumes n) ~guarantees:[ p ] ();
+        Morphcore.Assertion.make ~assumes:[] ~guarantees:[ p; second ] ();
+      ])
+    preds
+
+let projections : Morphcore.Approx.projection list = [ `Trace; `Psd ]
+
+let validation_objective ~projection approx assertion =
+  let options = { Morphcore.Verify.default_options with projection } in
+  Optimize.Constrained.penalized ~mu:10.
+    (Morphcore.Verify.problem ~options approx assertion)
+
+(* Under [`Trace] the coefficients are divided by the input's trace, whose
+   pole at zero makes central differences meaningless long before the
+   1e-9 switch; sampled points keep the trace at least this far from it. *)
+let trace_floor = 0.1
+
+(* Distance from [alpha] to the nearest point where the penalized
+   objective is not differentiable: a zero eigenvalue of the candidate
+   input under [`Psd] (the clip), the [trace_floor] band under [`Trace], a
+   norm at zero, a [max] switch (between guarantees, or the two sides of
+   [Diag_in_range]), or a constraint at its penalty threshold. *)
+let kink_distance ~projection approx assertion alpha =
+  let open Morphcore in
+  let raw = Approx.input_of_alpha approx alpha in
+  let input_margin =
+    match projection with
+    | `Psd ->
+        let w, _ = Linalg.Eig.hermitian raw in
+        Array.fold_left (fun acc x -> Float.min acc (Float.abs x)) infinity w
+    | `Trace -> Float.abs (Linalg.Cx.re (Linalg.Cmat.trace raw)) -. trace_floor
+  in
+  let env = Approx.point_state (Approx.point ~projection approx alpha) in
+  let norm_margin d = Linalg.Cmat.frob_norm d in
+  let pred_margin = function
+    | Predicate.Is_pure tp ->
+        let rho = env tp in
+        norm_margin (Linalg.Cmat.sub (Linalg.Cmat.mul rho (Linalg.Cmat.adjoint rho)) rho)
+    | Predicate.Equals (a, b) | Predicate.Distance_le (a, b, _) ->
+        norm_margin (Linalg.Cmat.sub (env a) (env b))
+    | Predicate.Equals_const (tp, c) | Predicate.Not_equals_const (tp, c, _) ->
+        norm_margin (Linalg.Cmat.sub (env tp) c)
+    | Predicate.Diag_in_range (tp, k, lo, hi) ->
+        let v = Linalg.Cx.re (Linalg.Cmat.get (env tp) k k) in
+        Float.abs (lo -. v -. (v -. hi))
+    | _ -> infinity
+  in
+  let preds = assertion.Assertion.guarantees @ assertion.Assertion.assumes in
+  let margins = List.map pred_margin preds in
+  let max_switch =
+    match
+      List.sort (fun a b -> compare b a)
+        (List.map (fun p -> Predicate.eval p env) assertion.Assertion.guarantees)
+    with
+    | a :: b :: _ -> a -. b
+    | _ -> infinity
+  in
+  let thresholds =
+    List.map (fun p -> Float.abs (Predicate.eval p env)) assertion.Assertion.assumes
+  in
+  List.fold_left Float.min (Float.min input_margin max_switch) (margins @ thresholds)
+
+let kink_margin = 1e-3
+
+(* seeded interior points: uniform draws in the box, rejected until every
+   kink is at least [kink_margin] away *)
+let interior_points ~projection approx assertion rng count =
+  let dim = Morphcore.Approx.n_sample approx in
+  let rec draw acc tries =
+    if List.length acc = count || tries = 0 then acc
+    else
+      let alpha = Array.init dim (fun _ -> Stats.Rng.uniform rng (-1.) 1.) in
+      if kink_distance ~projection approx assertion alpha >= kink_margin then
+        draw (alpha :: acc) (tries - 1)
+      else draw acc (tries - 1)
+  in
+  draw [] (50 * count)
+
+let gradient_close ~analytic ~numeric =
+  Array.for_all2
+    (fun a b -> Float.abs (a -. b) <= 1e-6 +. (1e-5 *. Float.abs b))
+    analytic numeric
+
+let gradient_matches_numeric circ =
+  let n, approx = validation_approx circ in
+  let rng = Stats.Rng.make (Hashtbl.hash circ land 0x3FFFFFFF) in
+  List.for_all
+    (fun projection ->
+      List.for_all
+        (fun assertion ->
+          let obj = validation_objective ~projection approx assertion in
+          Option.is_some obj.Optimize.Objective.grad
+          && List.for_all
+               (fun alpha ->
+                 gradient_close
+                   ~analytic:(Optimize.Objective.gradient obj alpha)
+                   ~numeric:(Optimize.Objective.num_grad obj alpha))
+               (interior_points ~projection approx assertion rng 3))
+        (validation_assertions n))
+    projections
+
+let gradient_finite_at_degenerate circ =
+  let n, approx = validation_approx circ in
+  let d = 1 lsl n in
+  let mixed =
+    Morphcore.Approx.decompose approx
+      (Linalg.Cmat.rscale (1. /. float_of_int d) (Linalg.Cmat.identity d))
+  in
+  let clipped = Array.map (fun a -> -.a) mixed in
+  let zero_distance =
+    Morphcore.Assertion.make ~assumes:[]
+      ~guarantees:[ Morphcore.Predicate.Equals (99, 99) ]
+      ()
+  in
+  let anywhere =
+    Array.init (Morphcore.Approx.n_sample approx) (fun i ->
+        Float.of_int ((i mod 5) - 2) /. 3.)
+  in
+  let finite g = Array.for_all Float.is_finite g in
+  List.for_all
+    (fun projection ->
+      List.for_all
+        (fun assertion ->
+          let obj = validation_objective ~projection approx assertion in
+          let grad = Optimize.Objective.gradient obj in
+          finite (grad mixed)
+          && finite (grad anywhere)
+          && finite (grad clipped)
+          (* the fully clipped input falls back to a constant state *)
+          && (projection = `Trace || Array.for_all (fun x -> x = 0.) (grad clipped)))
+        (zero_distance :: validation_assertions n))
+    projections
+
+(* The validation forward pass as the verifier computed it before it had
+   gradients: per-sample [Cmat.rscale]/[Cmat.add] sums, an [Eig.funm]
+   clip, and a fresh [Rmat.lstsq] decomposition for every evaluation. *)
+let reference_env ~projection (approx : Morphcore.Approx.t) alpha =
+  let open Linalg in
+  let combine states alpha =
+    let d, _ = Cmat.dims states.(0) in
+    let acc = ref (Cmat.create d d) in
+    Array.iteri
+      (fun i a -> if a <> 0. then acc := Cmat.add !acc (Cmat.rscale a states.(i)))
+      alpha;
+    !acc
+  in
+  let inputs = approx.Morphcore.Approx.inputs in
+  let raw = combine inputs alpha in
+  let phys =
+    match projection with
+    | `Trace ->
+        let t = Cx.re (Cmat.trace raw) in
+        if Float.abs t > 1e-9 then Array.map (fun a -> a /. t) alpha else alpha
+    | `Psd ->
+        let clipped = Eig.funm (fun x -> Float.max x 0.) (Cmat.hermitize raw) in
+        let t = Cx.re (Cmat.trace clipped) in
+        let d = fst (Cmat.dims raw) in
+        let projected =
+          if t <= 1e-14 then Cmat.rscale (1. /. float_of_int d) (Cmat.identity d)
+          else Cmat.rscale (1. /. t) clipped
+        in
+        Rmat.lstsq ~ridge:1e-9
+          (Lazy.force approx.Morphcore.Approx.basis)
+          (Hsvec.encode projected)
+  in
+  fun tp ->
+    combine
+      (if tp = 0 then inputs else List.assoc tp approx.Morphcore.Approx.outputs)
+      phys
+
+let problem_values_match_reference circ =
+  let n, approx = validation_approx circ in
+  let dim = Morphcore.Approx.n_sample approx in
+  let rng = Stats.Rng.make (Hashtbl.hash circ land 0x3FFFFFFF) in
+  let points =
+    Array.make dim 0.
+    :: List.init 4 (fun _ -> Array.init dim (fun _ -> Stats.Rng.uniform rng (-1.) 1.))
+  in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  List.for_all
+    (fun projection ->
+      let options = { Morphcore.Verify.default_options with projection } in
+      List.for_all
+        (fun assertion ->
+          let problem = Morphcore.Verify.problem ~options approx assertion in
+          let obj = problem.Optimize.Constrained.objective in
+          List.for_all
+            (fun alpha ->
+              let env = reference_env ~projection approx alpha in
+              (* a gradient first, so the values below come from the memo *)
+              if Option.is_some obj.Optimize.Objective.grad then
+                ignore (Optimize.Objective.gradient obj alpha);
+              same (obj.Optimize.Objective.f alpha)
+                (List.fold_left
+                   (fun acc p -> Float.max acc (Morphcore.Predicate.eval p env))
+                   neg_infinity assertion.Morphcore.Assertion.guarantees)
+              && List.for_all2
+                   (fun (g : Optimize.Objective.t) p ->
+                     same (g.Optimize.Objective.f alpha) (Morphcore.Predicate.eval p env))
+                   problem.Optimize.Constrained.constraints
+                   assertion.Morphcore.Assertion.assumes)
+            points)
+        (validation_assertions n))
+    projections

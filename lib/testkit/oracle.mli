@@ -191,3 +191,35 @@ val sequential_vs_fixed_verdict : Gen.circ -> bool
     tested against their true mean are exact-KS-consistent with
     Uniform(0,1) at level 1e-4. The sketch only seeds the RNG stream. *)
 val pvalue_uniform_under_null : Gen.circ -> bool
+
+(** {2 The validation objective}
+
+    These oracles run on the generated circuit (built pure) with a
+    one-qubit tracepoint 98 on qubit 0 and a full-register tracepoint 99
+    appended, characterized at the Theorem 2 budget. They sweep one
+    predicate of every kind that has an adjoint, alone, under three
+    assumes, and as the max of two guarantees, under both projections,
+    through [Optimize.Constrained.penalized ~mu:10.] of
+    [Morphcore.Verify.problem]. *)
+
+(** [gradient_matches_numeric c] — the exact gradient agrees with
+    [Objective.num_grad] within [1e-6 + 1e-5 |numeric|] per coordinate
+    at seeded interior points: points whose every kink (a zero eigenvalue
+    of the candidate input, a vanishing trace, a norm at zero, a [max]
+    switch, a constraint at its penalty threshold) is at least 1e-3 away. *)
+val gradient_matches_numeric : Gen.circ -> bool
+
+(** [gradient_finite_at_degenerate c] — exact gradients are finite at the
+    degenerate points: [Equals] at distance zero, the maximally mixed
+    input (every eigenvalue equal), and its negation, which takes the
+    fully clipped fallback of the PSD projection (where the gradient is
+    exactly zero under [`Psd]). *)
+val gradient_finite_at_degenerate : Gen.circ -> bool
+
+(** [problem_values_match_reference c] — objective and constraint values
+    of [Morphcore.Verify.problem], read after a gradient at the same point
+    (so from the shared forward pass), are bit-identical to a direct
+    re-implementation of the forward pass with per-sample matrix sums, an
+    [Eig.funm] clip and a fresh [Rmat.lstsq] decomposition, at the origin
+    and at seeded points of the box. *)
+val problem_values_match_reference : Gen.circ -> bool

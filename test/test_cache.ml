@@ -5,7 +5,7 @@
    incremental + whole-result, verdict, segments, tomography), the
    cache-transparency oracle with a persistence reload, MQ020 cone-hash
    lint, and the JSON-RPC protocol (Jsonx roundtrips, [Server.handle_line]
-   unit tests, one fork-based end-to-end socket smoke). *)
+   unit tests, one end-to-end socket smoke against the built daemon). *)
 
 open Testkit
 open Morphcore
@@ -776,55 +776,83 @@ let test_server_shutdown () =
     "acknowledges" true
     (List.exists (fun j -> Jsonx.member "result" j <> None) out)
 
-(* end-to-end over a real Unix socket: fork a daemon, ping it, verify a
-   program twice (the second response must report cache hits), shut it
-   down with SIGTERM and reap a clean exit *)
+(* end-to-end over a real Unix socket: start the built daemon as its own
+   process (forking this one is not allowed once the domain pool has
+   started), ping it, verify a program twice (the second response must
+   report cache hits), shut it down with SIGTERM and reap a clean exit *)
+let daemon_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/main.exe"
+
 let test_serve_socket_smoke () =
   let path = Filename.temp_file "morphqpv-serve" ".sock" in
   Sys.remove path;
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close r;
-      (* announce readiness to the parent through the pipe *)
-      let on_ready () =
-        ignore (Unix.write w (Bytes.of_string "r") 0 1);
-        Unix.close w
+  (* memory-only cache: no disk tier inherited from the environment *)
+  let env =
+    Array.of_list
+      (List.filter
+         (fun kv -> not (String.starts_with ~prefix:"MORPHQPV_CACHE" kv))
+         (Array.to_list (Unix.environment ())))
+  in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process_env daemon_exe
+      [| daemon_exe; "serve"; "--socket"; path |]
+      env devnull devnull devnull
+  in
+  Unix.close devnull;
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+      end)
+    (fun () ->
+      let deadline = Unix.gettimeofday () +. 60. in
+      while not (Sys.file_exists path) do
+        (match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ -> ()
+        | _ ->
+            reaped := true;
+            Alcotest.fail "daemon exited before creating its socket");
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "daemon never created its socket";
+        Unix.sleepf 0.02
+      done;
+      let addr = Server.Unix_path path in
+      let request line =
+        match Server.Client.request addr (parse_exn line) with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "client error: %s" e
       in
-      Server.serve ~cache:(Cache.create ()) ~on_ready (Server.Unix_path path);
-      exit 0
-  | pid ->
-      Unix.close w;
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [ Unix.WNOHANG ] pid) with Unix.Unix_error _ -> ())
-        (fun () ->
-          ignore (Unix.read r (Bytes.create 1) 0 1);
-          Unix.close r;
-          let addr = Server.Unix_path path in
-          let request line =
-            match Server.Client.request addr (parse_exn line) with
-            | Ok j -> j
-            | Error e -> Alcotest.failf "client error: %s" e
-          in
-          let pong = request {|{"id":1,"method":"ping"}|} in
-          Alcotest.(check bool) "pong" true (Jsonx.member "result" pong <> None);
-          let first = request (verify_req 2) in
-          let second = request (verify_req 3) in
-          let hits j =
-            member_exn "result" j |> member_exn "cache" |> member_exn "hits"
-            |> int_exn
-          in
-          Alcotest.(check int) "cold over socket: no hits" 0 (hits first);
-          Alcotest.(check bool) "warm over socket: hits" true (hits second > 0);
-          Unix.kill pid Sys.sigterm;
-          let _, status = Unix.waitpid [] pid in
-          Alcotest.(check bool)
-            "clean exit on SIGTERM" true
-            (status = Unix.WEXITED 0);
-          Alcotest.(check bool)
-            "socket path cleaned up" false (Sys.file_exists path))
+      (* the socket file appears at bind, just before listen: retry the
+         first connection briefly *)
+      let rec ping tries =
+        match Server.Client.request addr (parse_exn {|{"id":1,"method":"ping"}|}) with
+        | Ok j -> j
+        | Error _ when tries > 0 ->
+            Unix.sleepf 0.05;
+            ping (tries - 1)
+        | Error e -> Alcotest.failf "client error: %s" e
+      in
+      let pong = ping 100 in
+      Alcotest.(check bool) "pong" true (Jsonx.member "result" pong <> None);
+      let first = request (verify_req 2) in
+      let second = request (verify_req 3) in
+      let hits j =
+        member_exn "result" j |> member_exn "cache" |> member_exn "hits"
+        |> int_exn
+      in
+      Alcotest.(check int) "cold over socket: no hits" 0 (hits first);
+      Alcotest.(check bool) "warm over socket: hits" true (hits second > 0);
+      Unix.kill pid Sys.sigterm;
+      let _, status = Unix.waitpid [] pid in
+      reaped := true;
+      Alcotest.(check bool)
+        "clean exit on SIGTERM" true
+        (status = Unix.WEXITED 0);
+      Alcotest.(check bool)
+        "socket path cleaned up" false (Sys.file_exists path))
 
 (* ------------------------------ spec ------------------------------------ *)
 

@@ -428,6 +428,22 @@ let prop_case1_exactness =
       in
       Approx.accuracy predicted truth > 1. -. 1e-6)
 
+(* ---------------- validation gradients ---------------- *)
+
+let validation_circuits = Testkit.Gen.pure ~min_qubits:1 ~max_qubits:3 ()
+
+let prop_gradient_matches_numeric =
+  QCheck.Test.make ~name:"exact gradient = central differences off kinks"
+    ~count:8 validation_circuits Testkit.Oracle.gradient_matches_numeric
+
+let prop_gradient_finite_at_degenerate =
+  QCheck.Test.make ~name:"exact gradient finite at degenerate points" ~count:8
+    validation_circuits Testkit.Oracle.gradient_finite_at_degenerate
+
+let prop_problem_values_match_reference =
+  QCheck.Test.make ~name:"objective values bit-identical to the reference pass"
+    ~count:8 validation_circuits Testkit.Oracle.problem_values_match_reference
+
 (* ---------------- distribution assertions ---------------- *)
 
 let ghz3 = Circuit.(empty 3 |> h 0 |> cx 0 1 |> cx 1 2)
@@ -638,5 +654,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_isomorphism_linearity; prop_case1_exactness ] );
+          [
+            prop_isomorphism_linearity;
+            prop_case1_exactness;
+            prop_gradient_matches_numeric;
+            prop_gradient_finite_at_degenerate;
+            prop_problem_values_match_reference;
+          ] );
     ]

@@ -179,6 +179,58 @@ let test_rmat_lstsq () =
   check_float "x0" 1. x.(0) ~eps:1e-4;
   check_float "x1" 2. x.(1) ~eps:1e-4
 
+let test_rmat_lstsq_factor () =
+  let a = Rmat.init 7 3 (fun _ _ -> Random.State.float rng 2. -. 1.) in
+  let b = Array.init 7 (fun _ -> Random.State.float rng 2. -. 1.) in
+  let xbar = Array.init 3 (fun _ -> Random.State.float rng 2. -. 1.) in
+  let f = Rmat.lstsq_factor ~ridge:1e-9 a in
+  let x = f.Rmat.solve b in
+  let dot u v = Array.fold_left ( +. ) 0. (Array.map2 ( *. ) u v) in
+  check_float "adjoint identity" (dot xbar x) (dot (f.Rmat.adjoint xbar) b) ~eps:1e-12
+
+(* ---------------- PSD projection adjoint ---------------- *)
+
+let re_inner a b = Cx.re (Cmat.hs_inner a b)
+
+let test_project_psd_vjp_directional () =
+  (* Re <pbar, dP[e]> by central differences against Re <vjp pbar, e> *)
+  let n = 4 in
+  let rec draw () =
+    let h = random_hermitian n in
+    let w, _ = Eig.hermitian h in
+    if Array.exists (fun x -> Float.abs x < 0.05) w || Array.for_all (fun x -> x < 0.) w
+    then draw ()
+    else h
+  in
+  for _ = 1 to 5 do
+    let h = draw () and e = random_hermitian n and pbar = random_hermitian n in
+    let eps = 1e-6 in
+    let shifted t = Eig.project_psd (Cmat.add h (Cmat.rscale t e)) in
+    let numeric =
+      re_inner pbar (Cmat.sub (shifted eps) (shifted (-.eps))) /. (2. *. eps)
+    in
+    let value, vjp = Eig.project_psd_vjp h in
+    check_cmat "value = project_psd" (Eig.project_psd h) value ~eps:0.;
+    let analytic = re_inner (vjp pbar) e in
+    check_float "directional derivative" numeric analytic
+      ~eps:(1e-6 *. (1. +. Float.abs numeric))
+  done
+
+let test_project_psd_vjp_degenerate () =
+  let n = 4 in
+  let pbar = random_hermitian n in
+  (* all eigenvalues equal (and positive): P = H / tr H near I/n, so the
+     cotangent is pbar minus its mean diagonal *)
+  let _, vjp = Eig.project_psd_vjp (Cmat.rscale 0.25 (Cmat.identity n)) in
+  let mean = Cx.re (Cmat.trace pbar) /. float_of_int n in
+  check_cmat "equal eigenvalues"
+    (Cmat.sub pbar (Cmat.rscale mean (Cmat.identity n)))
+    (vjp pbar) ~eps:1e-12;
+  (* fully clipped: the maximally mixed fallback is constant *)
+  let value, vjp = Eig.project_psd_vjp (Cmat.rscale (-1.) (Cmat.identity n)) in
+  check_cmat "fallback value" (Cmat.rscale 0.25 (Cmat.identity n)) value;
+  check_cmat "fallback cotangent" (Cmat.create n n) (vjp pbar) ~eps:0.
+
 (* ---------------- Hsvec ---------------- *)
 
 let test_hsvec_roundtrip () =
@@ -258,6 +310,10 @@ let () =
           Alcotest.test_case "known spectrum" `Quick test_eig_known;
           Alcotest.test_case "sqrtm" `Quick test_eig_sqrtm;
           Alcotest.test_case "project psd" `Quick test_project_psd;
+          Alcotest.test_case "project psd vjp" `Quick
+            test_project_psd_vjp_directional;
+          Alcotest.test_case "project psd vjp degenerate" `Quick
+            test_project_psd_vjp_degenerate;
         ] );
       ( "rmat",
         [
@@ -265,6 +321,7 @@ let () =
           Alcotest.test_case "solve random" `Quick test_rmat_solve_random;
           Alcotest.test_case "cholesky" `Quick test_rmat_cholesky;
           Alcotest.test_case "lstsq" `Quick test_rmat_lstsq;
+          Alcotest.test_case "lstsq factor + adjoint" `Quick test_rmat_lstsq_factor;
         ] );
       ( "hsvec",
         [

@@ -179,9 +179,10 @@ let test_snapshot_json_shape () =
       "\"value\":7";
     ]
 
-(* Counters count work items (gates, shots, MACs), never scheduling
-   facts, so a characterization run must produce the bit-identical
-   snapshot whatever the pool's domain count. *)
+(* Counters count work items (gates, shots, MACs, solver evals and
+   gradients), never scheduling facts, so a characterization and the
+   validation on it must produce the bit-identical snapshot whatever the
+   pool's domain count. *)
 let det_program () =
   Program.make
     Circuit.(
@@ -196,14 +197,28 @@ let snapshot_after_run domains =
   Fun.protect
     ~finally:(fun () -> Parallel.Pool.shutdown pool)
     (fun () ->
+      let ch =
+        Morphcore.Characterize.run ~pool ~rng:(Stats.Rng.make 7)
+          (det_program ()) ~count:4
+      in
       ignore
-        (Morphcore.Characterize.run ~pool ~rng:(Stats.Rng.make 7)
-           (det_program ()) ~count:4));
+        (Verify.validate ~rng:(Stats.Rng.make 7)
+           (Approx.of_characterization ch)
+           (Assertion.make
+              ~assumes:[ Predicate.Diag_in_range (0, 0, 0.2, 1.) ]
+              ~guarantees:[ Predicate.Is_pure 1 ]
+              ())));
   Obs.Metrics.snapshot ()
 
 let test_counter_determinism_across_domains () =
   let base = snapshot_after_run 1 in
   Alcotest.(check bool) "run recorded something" true (base <> []);
+  Alcotest.(check bool)
+    "exact gradients counted" true
+    (Obs.Metrics.counter_value
+       ~labels:[ ("kind", "analytic"); ("solver", "quadratic") ]
+       "solver_gradients_total"
+    <> None);
   List.iter
     (fun d ->
       let s = snapshot_after_run d in

@@ -40,6 +40,90 @@ let test_num_grad () =
   check_float "dx" 0.8 g.(0) ~eps:1e-6;
   check_float "dy" 3. g.(1) ~eps:1e-6
 
+(* x0^2 + 3 x1 with its exact gradient *)
+let with_grad =
+  Objective.make ~dim:2
+    ~grad:(fun x -> [| 2. *. x.(0); 3. |])
+    (fun x -> (x.(0) *. x.(0)) +. (3. *. x.(1)))
+
+let test_gradient_dispatch () =
+  let x = [| 0.4; 0.1 |] in
+  Alcotest.(check (array (float 0.))) "exact gradient used" [| 0.8; 3. |]
+    (Objective.gradient with_grad x);
+  let without = { with_grad with Objective.grad = None } in
+  Alcotest.(check (array (float 0.))) "numeric fallback"
+    (Objective.num_grad without x) (Objective.gradient without x)
+
+let test_penalized_gradient () =
+  (* one active and one inactive constraint: the composed gradient is
+     grad f - mu * 2 max(0, g) grad g over the active one only *)
+  let problem =
+    {
+      Constrained.objective = with_grad;
+      constraints =
+        [
+          Objective.make ~dim:2
+            ~grad:(fun _ -> [| 1.; 1. |])
+            (fun x -> x.(0) +. x.(1) -. 0.2);
+          Objective.make ~dim:2 ~grad:(fun _ -> [| 0.; 1. |]) (fun x -> x.(1) -. 5.);
+        ];
+    }
+  in
+  let pen = Constrained.penalized ~mu:10. problem in
+  let x = [| 0.4; 0.1 |] in
+  let exact = Objective.gradient pen x in
+  let numeric = Objective.num_grad pen x in
+  Array.iteri (fun i g -> check_float "composed gradient" numeric.(i) g ~eps:1e-6) exact;
+  (* a constraint without a gradient leaves the penalized objective numeric *)
+  let numeric_only =
+    Constrained.penalized ~mu:10.
+      {
+        problem with
+        Constrained.constraints = [ Objective.make ~dim:2 (fun x -> x.(0) -. 0.1) ];
+      }
+  in
+  Alcotest.(check bool) "no exact gradient" true (numeric_only.Objective.grad = None)
+
+(* The exact gradient keeps the solver's schedule: the same iterations,
+   each without the 2 * dim central-difference probes. Counted by the
+   solver's own metrics. *)
+let test_gradient_counters () =
+  let run obj =
+    Obs.configure ~enabled:true;
+    Obs.Metrics.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Metrics.reset ();
+        Obs.configure ~enabled:false)
+      (fun () ->
+        let sol = Solvers.maximize ~budget:600 `Qp (rng ()) obj in
+        let c ?(labels = []) name =
+          Option.value ~default:0
+            (Obs.Metrics.counter_value ~labels:(("solver", "quadratic") :: labels) name)
+        in
+        ( sol.Solvers.evals,
+          c "solver_iterations_total",
+          c "solver_evals_total",
+          c ~labels:[ ("kind", "analytic") ] "solver_gradients_total",
+          c ~labels:[ ("kind", "numeric") ] "solver_gradients_total" ))
+  in
+  let concave =
+    Objective.make ~dim:2
+      ~grad:(fun x -> [| -2. *. (x.(0) -. 0.5); -2. *. (x.(1) +. 0.25) |])
+      (fun x -> -.((x.(0) -. 0.5) ** 2.) -. ((x.(1) +. 0.25) ** 2.))
+  in
+  let e_evals, e_iters, e_counted, e_analytic, e_numeric = run concave in
+  let n_evals, n_iters, n_counted, n_analytic, n_numeric =
+    run { concave with Objective.grad = None }
+  in
+  Alcotest.(check int) "same iterations" n_iters e_iters;
+  Alcotest.(check int) "evals counter = solution evals" e_evals e_counted;
+  Alcotest.(check int) "numeric evals counter = solution evals" n_evals n_counted;
+  Alcotest.(check int) "no numeric gradients" 0 e_numeric;
+  Alcotest.(check int) "no analytic gradients" 0 n_analytic;
+  Alcotest.(check bool) "gradients counted" true (e_analytic > 0 && n_numeric > 0);
+  Alcotest.(check bool) "fewer evals" true (e_evals < n_evals)
+
 let test_solvers_quadratic () =
   List.iter
     (fun (name, solve) ->
@@ -158,7 +242,7 @@ let test_constrained_active () =
   let problem =
     {
       Constrained.objective = Objective.make ~dim:2 (fun x -> x.(0) +. x.(1));
-      constraints = [ (fun x -> x.(0) +. x.(1) -. 1.) ];
+      constraints = [ Objective.make ~dim:2 (fun x -> x.(0) +. x.(1) -. 1.) ];
     }
   in
   let sol = Constrained.maximize ~budget:20000 ~method_:`Anneal (rng ()) problem in
@@ -171,7 +255,7 @@ let test_constrained_inactive () =
     {
       Constrained.objective =
         Objective.make ~dim:2 (fun x -> -.(x.(0) ** 2.) -. (x.(1) ** 2.));
-      constraints = [ (fun x -> x.(0) -. 10.) ];
+      constraints = [ Objective.make ~dim:2 (fun x -> x.(0) -. 10.) ];
     }
   in
   let sol = Constrained.maximize ~method_:`Qp (rng ()) problem in
@@ -183,7 +267,11 @@ let test_constrained_infeasible () =
   let problem =
     {
       Constrained.objective = Objective.make ~dim:1 (fun x -> x.(0));
-      constraints = [ (fun x -> x.(0) -. 0.5); (fun x -> 0.6 -. x.(0)) ];
+      constraints =
+        [
+          Objective.make ~dim:1 (fun x -> x.(0) -. 0.5);
+          Objective.make ~dim:1 (fun x -> 0.6 -. x.(0));
+        ];
     }
   in
   let sol = Constrained.maximize ~method_:`Anneal (rng ()) problem in
@@ -214,6 +302,7 @@ let () =
         [
           Alcotest.test_case "helpers" `Quick test_objective_helpers;
           Alcotest.test_case "num grad" `Quick test_num_grad;
+          Alcotest.test_case "gradient dispatch" `Quick test_gradient_dispatch;
         ] );
       ( "solvers",
         [
@@ -223,6 +312,7 @@ let () =
           Alcotest.test_case "eval counting" `Quick test_evals_counted;
           Alcotest.test_case "dispatch" `Quick test_maximize_dispatch;
           Alcotest.test_case "qp exact" `Quick test_qp_exact_on_quadratic;
+          Alcotest.test_case "gradient counters" `Quick test_gradient_counters;
         ] );
       ( "convergence",
         [
@@ -236,6 +326,7 @@ let () =
           Alcotest.test_case "active" `Quick test_constrained_active;
           Alcotest.test_case "inactive" `Quick test_constrained_inactive;
           Alcotest.test_case "infeasible" `Quick test_constrained_infeasible;
+          Alcotest.test_case "penalized gradient" `Quick test_penalized_gradient;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_solutions_bounded ]);
     ]
