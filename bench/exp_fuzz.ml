@@ -30,9 +30,9 @@ let checks () =
     ("stabilizer-traces", Gen.gen_clifford (), Oracle.stabilizer_traces_agree);
     ("sparse-traces", Gen.gen_pure (), Oracle.sparse_vs_statevec);
     ("rank-traces", Gen.gen_near_clifford (), Oracle.rank_vs_statevec);
-    ( "characterize-auto-pinned",
+    ( "characterize-matches-reference",
       Gen.gen_program (),
-      fun c -> Oracle.characterize_auto_unchanged c );
+      fun c -> Oracle.characterize_matches_reference c );
     ( "characterize-scale-route",
       Gen.gen_near_clifford (),
       fun c -> Oracle.characterize_scale_route c );

@@ -13,13 +13,7 @@
 
    Workload 3 — small-n regression guard: the 3-qubit quantum-lock
    characterization, timed with 1 and 4 domains; small workloads must not
-   slow down when a pool is available.
-
-   Workload 4 — segment compilation + batched characterization on the fig5
-   workload (3-payload teleportation, 256 samples): the segment compiler's
-   fused operator count vs the source gate count, and [Characterize.run]
-   under [`Batched] vs [`Sequential], checked for trace agreement and
-   recorded with the per-sample operator-application reduction. *)
+   slow down when a pool is available. *)
 
 open Morphcore
 
@@ -137,59 +131,7 @@ let run () =
   Util.record "perf/characterize-lock-3q/domains=4" ~seconds:s4
     ~samples:reps_s4 ~speedup:(s1 /. s4) ~domains:4 ();
 
-  (* ---- workload 4: batched vs sequential characterization (fig5) ---- *)
-  let hops = 3 in
-  let teleport = Benchmarks.Teleport.multi hops in
-  let plan = Transpile.Segments.compile teleport in
-  let ops_before = plan.Sim.Batch.source_ops in
-  let ops_after = Sim.Batch.ops plan in
-  Util.row "segments: teleport x%d   %d gates -> %d fused operators (%.1fx)"
-    hops ops_before ops_after
-    (float_of_int ops_before /. float_of_int (max 1 ops_after));
-  let program =
-    Program.make
-      ~input_qubits:(Benchmarks.Teleport.input_qubits hops)
-      teleport
-  in
-  let samples = 256 in
-  let characterize_engine name engine =
-    let pool = Parallel.Pool.create ~domains:1 () in
-    let r =
-      Util.timed_samples ~name (fun () ->
-          Characterize.run ~pool ~rng:(Stats.Rng.make 21) ~trajectories:8
-            ~engine program ~count:samples)
-    in
-    Parallel.Pool.shutdown pool;
-    r
-  in
-  let seq, t_seq, reps_seq =
-    characterize_engine "perf.characterize.sequential" `Sequential
-  in
-  let bat, t_bat, reps_bat =
-    characterize_engine "perf.characterize.batched" `Batched
-  in
-  Array.iter2
-    (fun (a : Characterize.sample) (b : Characterize.sample) ->
-      let ta = a.Characterize.traces and tb = b.Characterize.traces in
-      if
-        not
-          (List.length ta = List.length tb
-          && List.for_all2
-               (fun (ia, ma) (ib, mb) -> ia = ib && frob_diff ma mb <= 1e-9)
-               ta tb)
-      then failwith "perf: batched characterization diverged from sequential")
-    seq.Characterize.samples bat.Characterize.samples;
-  Util.row
-    "characterize teleport x%d n=%d   sequential %7.3fs   batched %7.3fs (%.2fx)   traces agree: yes"
-    hops samples t_seq t_bat (t_seq /. t_bat);
-  Util.record "perf/characterize-teleport-fig5/sequential" ~seconds:t_seq
-    ~samples:reps_seq ~speedup:1.0 ~ops:(ops_before, ops_before) ~domains:1 ();
-  Util.record "perf/characterize-teleport-fig5/batched" ~seconds:t_bat
-    ~samples:reps_bat ~speedup:(t_seq /. t_bat)
-    ~ops:(ops_before, ops_after)
-    ~domains:1 ();
-
-  (* ---- workload 5: sequential distribution verdict (SPRT early stop) ----
+  (* ---- workload 4: sequential distribution verdict (SPRT early stop) ----
      An 8-qubit GHZ distribution assertion under a sequential shot budget:
      the SPRT must accept well before the 4096-shot cap, so this row's
      counter deltas prove [verify_shots_saved_total > 0] on a bench
@@ -254,8 +196,9 @@ let engine_name = function
   | `Sparse -> "sparse"
   | `Rank -> "rank"
 
-(* characterize [count] basis inputs over [input_qubits] through [`Auto],
-   assert the static route and that dense never ran, and time it *)
+(* characterize [count] basis inputs over [input_qubits] through
+   [Characterize.run], assert the static route and that dense never ran,
+   and time it *)
 let scale_case ~name ~route ~input_qubits ~check c =
   let count = 3 in
   if Sim.Engine.auto_route c <> Some route then
@@ -268,7 +211,7 @@ let scale_case ~name ~route ~input_qubits ~check c =
     Util.timed_samples ~name:("perf.scale." ^ name) (fun () ->
         Characterize.run
           ~rng:(Stats.Rng.make 31)
-          ~kind:Clifford.Sampling.Basis ~engine:`Auto program ~count)
+          ~kind:Clifford.Sampling.Basis program ~count)
   in
   if routed "statevec" <> dense_before then
     failwith (Printf.sprintf "scale: dense engine invoked on %s" name);

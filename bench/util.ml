@@ -71,9 +71,6 @@ type bench_row = {
   speedup : float option;
   domains : int;
   cases : (int * int) option;  (** (passed, failed) *)
-  ops : (int * int) option;
-      (** (before, after) operator applications per sample, for the
-          segment-fusion rows *)
   metrics : (string * int) list;
       (** counter deltas ([name{k=v}] keys) accumulated since the
           previous [record] — the per-kernel denominators (gates, shots,
@@ -108,10 +105,10 @@ let counter_delta () =
 
 (* re-running an experiment REPLACES its row (keyed by [name]) rather
    than growing duplicates across driver invocations in one process *)
-let record name ~seconds ?(samples = []) ?speedup ?cases ?ops ~domains () =
+let record name ~seconds ?(samples = []) ?speedup ?cases ~domains () =
   let metrics = counter_delta () in
   bench_rows :=
-    { name; seconds; samples; speedup; domains; cases; ops; metrics }
+    { name; seconds; samples; speedup; domains; cases; metrics }
     :: List.filter (fun r -> r.name <> name) !bench_rows
 
 (* [prev_path "BENCH_results.json"] is ["BENCH_results.prev.json"] *)
@@ -131,7 +128,7 @@ let write_bench_json path =
     (Parallel.Pool.env_domains ());
   let last = List.length rows - 1 in
   List.iteri
-    (fun i { name; seconds; samples; speedup; domains; cases; ops; metrics } ->
+    (fun i { name; seconds; samples; speedup; domains; cases; metrics } ->
       let samples_field =
         match samples with
         | [] -> ""
@@ -146,13 +143,6 @@ let write_bench_json path =
             Printf.sprintf ", \"passed\": %d, \"failed\": %d" passed failed
         | None -> ""
       in
-      let ops_field =
-        match ops with
-        | Some (before, after) ->
-            Printf.sprintf ", \"ops_before\": %d, \"ops_after\": %d" before
-              after
-        | None -> ""
-      in
       let metrics_field =
         Printf.sprintf ", \"obs_schema\": %S, \"metrics\": {%s}"
           Obs.Metrics.schema
@@ -160,12 +150,12 @@ let write_bench_json path =
              (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) metrics))
       in
       Printf.fprintf oc
-        "    {\"name\": %S, \"seconds\": %.6f%s, \"speedup\": %s, \"domains\": %d%s%s%s}%s\n"
+        "    {\"name\": %S, \"seconds\": %.6f%s, \"speedup\": %s, \"domains\": %d%s%s}%s\n"
         name seconds samples_field
         (match speedup with
         | Some s -> Printf.sprintf "%.3f" s
         | None -> "null")
-        domains cases_field ops_field metrics_field
+        domains cases_field metrics_field
         (if i = last then "" else ","))
     rows;
   output_string oc "  ]\n}\n";

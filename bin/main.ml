@@ -159,10 +159,8 @@ let print_certify_failures ~file failures =
 (* pre-flight used by verify/serve and the standalone subcommand: run the
    transpile pipeline through the certificate-emitting pass variants and
    re-check the chain with the independent checker *)
-let run_certify ?cache ~file full =
-  let report =
-    Verify.certify_transpile ?cache ~locs:full.Qasm.locs full.Qasm.circuit
-  in
+let run_certify ~file full =
+  let report = Verify.certify_transpile ~locs:full.Qasm.locs full.Qasm.circuit in
   let s = report.Verify.cert_summary in
   if report.Verify.certified then
     Format.printf
@@ -241,7 +239,7 @@ let verify_cmd file assumes guarantees count solver seed budget use_cache
       in
       (* --certify: translation-validate the transpile pipeline before any
          verification work; a failed certificate is a hard MQ021 error *)
-      if certify && not (run_certify ?cache ~file full) then 1
+      if certify && not (run_certify ~file full) then 1
       else
       let rng = Stats.Rng.make seed in
       let program = Program.make c in

@@ -9,6 +9,11 @@
     the reference's on some tested basis input — phase bugs are visible,
     unlike probability-only testing. *)
 
+(** [equal ?eps a b] compares two sparse states up to global phase: the
+    phase is fixed by [a]'s largest amplitude, then every amplitude of
+    either state must agree within [eps]. *)
+val equal : ?eps:float -> Sim.Sparse.t -> Sim.Sparse.t -> bool
+
 (** [check ?rng ?input_preps ~tests ~reference ~candidate ()] compares
     sparse final states across test inputs. By default basis inputs are
     used; [input_preps] supplies preparation circuits over the input qubits

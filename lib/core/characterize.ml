@@ -41,31 +41,22 @@ let degrade ?budget rng mode cost circuit (id, exact) =
         ~total_shots:tomo.Tomography.State_tomo.shots_used;
       (id, tomo.Tomography.State_tomo.rho)
 
-type engine = [ `Auto | `Batched | `Sequential ]
-
-(* average per-trajectory trace lists exactly as [Engine.tracepoint_states]
-   does: first-seen id order, in-trajectory-order adds, one final rescale *)
-let average_traces trajectories per_traj =
-  let acc = Hashtbl.create 8 in
-  let order = ref [] in
-  Array.iter
-    (fun traces ->
+(* the explicit [inputs] (size-checked), or [count] fresh draws from [rng] *)
+let draw_inputs ~rng ~kind ~count program inputs =
+  let k = Program.num_input_qubits program in
+  match inputs with
+  | Some states ->
       List.iter
-        (fun (id, m) ->
-          match Hashtbl.find_opt acc id with
-          | None ->
-              order := id :: !order;
-              Hashtbl.add acc id m
-          | Some prev -> Hashtbl.replace acc id (Cmat.add prev m))
-        traces)
-    per_traj;
-  List.rev_map
-    (fun id ->
-      (id, Cmat.rscale (1. /. float_of_int trajectories) (Hashtbl.find acc id)))
-    !order
+        (fun st ->
+          if Qstate.Statevec.num_qubits st <> k then
+            invalid_arg "Characterize.run: input size mismatch")
+        states;
+      states
+  | None ->
+      List.init count (fun index -> Clifford.Sampling.state rng kind k ~index)
 
 let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
-    ?budget ?noise ?trajectories ?(engine = `Auto) ?inputs ?wall program ~count =
+    ?budget ?noise ?trajectories ?inputs ?wall program ~count =
   (* watermark first, so the summary covers the [characterize.run] span
      itself once it closes — plus everything nested under it *)
   let since = Obs.Span.mark () in
@@ -75,19 +66,7 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
     @@ fun () ->
   let rng = match rng with Some r -> r | None -> Stats.Rng.make 7 in
   let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
-  let k = Program.num_input_qubits program in
-  let input_states =
-    match inputs with
-    | Some states ->
-        List.iter
-          (fun st ->
-            if Qstate.Statevec.num_qubits st <> k then
-              invalid_arg "Characterize.run: input size mismatch")
-          states;
-        states
-    | None ->
-        List.init count (fun index -> Clifford.Sampling.state rng kind k ~index)
-  in
+  let input_states = draw_inputs ~rng ~kind ~count program inputs in
   (* fan sampled inputs across the pool: one split child generator and one
      private cost meter per sample, derived/merged in index order so the
      characterization is bit-identical for any domain count *)
@@ -95,45 +74,6 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
   let n = Array.length inputs_arr in
   let rngs = Array.init n (Stats.Rng.split rng) in
   let ideal = match noise with None -> true | Some nz -> Sim.Noise.is_ideal nz in
-  let batched =
-    match engine with
-    | `Sequential -> false
-    | `Auto -> ideal
-    | `Batched ->
-        if not ideal then
-          invalid_arg "Characterize.run: batched engine requires ideal noise";
-        true
-  in
-  let cost = Sim.Cost.create () in
-  (* Batched path: compile the circuit once into fused segment operators and
-     run every sampled input as one column of a packed batch, instead of
-     re-walking the circuit gate by gate per sample. Trace values agree with
-     the sequential path to ~1e-15 (fusion reorders segment arithmetic);
-     generator streams, cost accounting and the batched engine's own results
-     are bit-identical for any domain count. *)
-  let batch_traces () =
-    let circuit = program.Program.circuit in
-    let plan = Transpile.Segments.compile circuit in
-    if Sim.Batch.is_deterministic plan then
-      Sim.Batch.run_traces ~pool plan ~count:n ~init:(fun i ->
-          Program.embed program inputs_arr.(i))
-    else begin
-      let t = Option.value trajectories ~default:64 in
-      (* one column per sample x trajectory, seeded with exactly the split
-         children the sequential trajectory fan-out would derive — so each
-         sample generator's stream position (consumed below by [degrade])
-         is unchanged *)
-      let per_sample =
-        Array.map (fun r -> Array.init t (Stats.Rng.split r)) rngs
-      in
-      let col_rngs = Array.concat (Array.to_list per_sample) in
-      let per_col =
-        Sim.Batch.run_traces ~pool ~rngs:col_rngs plan ~count:(n * t)
-          ~init:(fun col -> Program.embed program inputs_arr.(col / t))
-      in
-      Array.init n (fun i -> average_traces t (Array.sub per_col (i * t) t))
-    end
-  in
   (* Scalable-engine auto-routing: with basis-state inputs on an ideal
      program, [Sim.Engine.auto_route] may send each sample to the
      stabilizer tableau (Clifford programs), the sparse coordinate
@@ -141,16 +81,13 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
      stabilizers engine (near-Clifford programs) — each a lightcone-
      restricted run per tracepoint instead of a full state-vector pass.
      The decision is purely static — never a function of sampled
-     values — so programs outside the condition take exactly the code
-     path (and generator streams) they did before the routing existed.
-     Basis inputs are exact one-hot amplitudes, so recovering the
-     preparation index below is exact — and sidesteps [Program.embed]'s
-     dense allocation, which cannot exist at 28+ qubits. *)
+     values — and explicit [inputs] are never routed; everything else
+     takes the per-sample [Program.run_traces] path. Basis inputs are
+     exact one-hot amplitudes, so recovering the preparation index below
+     is exact — and sidesteps [Program.embed]'s dense allocation, which
+     cannot exist at 28+ qubits. *)
   let route =
-    if
-      (match engine with `Auto -> true | `Batched | `Sequential -> false)
-      && Option.is_none inputs
-      && kind = Clifford.Sampling.Basis && ideal
+    if Option.is_none inputs && kind = Clifford.Sampling.Basis && ideal
     then Sim.Engine.auto_route ?wall program.Program.circuit
     else None
   in
@@ -181,9 +118,6 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
              (0, 0) program.Program.input_qubits
           |> fst)
   in
-  let batched_traces =
-    if batched && route = None then Some (batch_traces ()) else None
-  in
   let samples =
     Parallel.Pool.map_init pool n (fun i ->
         Obs.Span.with_ ~name:"characterize.sample" @@ fun () ->
@@ -194,8 +128,8 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
           match route with Some _ -> route_prep input_state | None -> None
         in
         let traces =
-          match (route, prep, batched_traces) with
-          | Some engine, Some prep, _ ->
+          match (route, prep) with
+          | Some engine, Some prep ->
               let v = Qstate.Statevec.to_cvec input_state in
               let circuit = program.Program.circuit in
               (0, Cmat.outer v v)
@@ -204,10 +138,7 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
               | `Stabilizer -> Sim.Engine.stabilizer_traces ~prep circuit
               | `Sparse -> Sim.Engine.sparse_traces ~prep circuit
               | `Rank -> Sim.Engine.rank_traces ~prep circuit)
-          | _, _, Some all ->
-              let v = Qstate.Statevec.to_cvec input_state in
-              (0, Cmat.outer v v) :: all.(i)
-          | _, _, None ->
+          | _ ->
               Program.run_traces ~pool ?noise ?trajectories ~rng program
                 ~input:input_state
         in
@@ -220,9 +151,11 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
                   (id, m))
             traces
         in
-        let v = Qstate.Statevec.to_cvec input_state in
-        ({ input_state; input_dm = Cmat.outer v v; traces }, sample_cost))
+        (* both branches put the input's density matrix first, as id 0 *)
+        let input_dm = snd (List.hd traces) in
+        ({ input_state; input_dm; traces }, sample_cost))
   in
+  let cost = Sim.Cost.create () in
   Array.iter (fun (_, c) -> Sim.Cost.add cost c) samples;
   { program; samples = Array.map fst samples; mode; cost; obs = [] }
   in
@@ -298,8 +231,7 @@ let compute_unit ~pool ~cost ~mode ~budget ~key circuit
   Array.map fst results
 
 let run_cached cache ?pool ?rng ?(kind = Clifford.Sampling.Clifford)
-    ?(mode = Exact) ?budget ?noise ?trajectories ?(engine = `Auto) ?inputs
-    ?wall program ~count =
+    ?(mode = Exact) ?budget ?noise ?trajectories ?inputs ?wall program ~count =
   let since = Obs.Span.mark () in
   let result =
     Obs.Span.with_ ~name:"characterize.run"
@@ -308,7 +240,6 @@ let run_cached cache ?pool ?rng ?(kind = Clifford.Sampling.Clifford)
     let rng = match rng with Some r -> r | None -> Stats.Rng.make 7 in
     let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
     let circuit = program.Program.circuit in
-    let k = Program.num_input_qubits program in
     let ideal =
       match noise with None -> true | Some nz -> Sim.Noise.is_ideal nz
     in
@@ -317,18 +248,7 @@ let run_cached cache ?pool ?rng ?(kind = Clifford.Sampling.Clifford)
     let rng_fp = string_of_int (Stats.Rng.fingerprint rng) in
     let inputs_fp = inputs_fingerprint ~kind ~count inputs in
     let mode_fp = Marshal.to_string (mode, budget) [] in
-    let sample_inputs () =
-      match inputs with
-      | Some states ->
-          List.iter
-            (fun st ->
-              if Qstate.Statevec.num_qubits st <> k then
-                invalid_arg "Characterize.run: input size mismatch")
-            states;
-          states
-      | None ->
-          List.init count (fun index -> Clifford.Sampling.state rng kind k ~index)
-    in
+    let sample_inputs () = draw_inputs ~rng ~kind ~count program inputs in
     let cones = Analysis.Lightcone.cones circuit in
     let units =
       if ideal && deterministic then
@@ -348,8 +268,7 @@ let run_cached cache ?pool ?rng ?(kind = Clifford.Sampling.Clifford)
        incremental unit simulation is the wrong tool (dense per-unit
        passes past the wall) — run uncached, no caching *)
     let routed =
-      (match engine with `Auto -> true | `Batched | `Sequential -> false)
-      && Option.is_none inputs
+      Option.is_none inputs
       && kind = Clifford.Sampling.Basis && ideal
       && Sim.Engine.auto_route ?wall circuit <> None
     in
@@ -398,8 +317,8 @@ let run_cached cache ?pool ?rng ?(kind = Clifford.Sampling.Clifford)
     else if routed then
       (* scale programs past the dense wall: the routed engines are
          already lightcone-restricted and cheap — pass through *)
-      run_uncached ~pool ~rng ~kind ~mode ?budget ?noise ?trajectories ~engine
-        ?inputs ?wall program ~count
+      run_uncached ~pool ~rng ~kind ~mode ?budget ?noise ?trajectories ?inputs
+        ?wall program ~count
     else begin
       (* stochastic, noisy or too-wide programs: whole-result memo keyed
          by the exact (unrenumbered) circuit bytes and every parameter *)
@@ -407,10 +326,10 @@ let run_cached cache ?pool ?rng ?(kind = Clifford.Sampling.Clifford)
         Cache.Canon.digest
           (String.concat "\x00"
              [
-               "whole-v1";
+               "whole-v2";
                Cache.Canon.exact_bytes circuit;
                Marshal.to_string
-                 (program.Program.input_qubits, noise, trajectories, engine)
+                 (program.Program.input_qubits, noise, trajectories)
                  [];
                inputs_fp;
                rng_fp;
@@ -428,7 +347,7 @@ let run_cached cache ?pool ?rng ?(kind = Clifford.Sampling.Clifford)
       | None ->
           let t =
             run_uncached ~pool ~rng ~kind ~mode ?budget ?noise ?trajectories
-              ~engine ?inputs ?wall program ~count
+              ?inputs ?wall program ~count
           in
           Cache.store_value cache ~ns:ns_characterize key t.samples;
           t
@@ -436,15 +355,15 @@ let run_cached cache ?pool ?rng ?(kind = Clifford.Sampling.Clifford)
   in
   { result with obs = Obs.Span.summary ~since () }
 
-let run ?pool ?rng ?kind ?mode ?budget ?noise ?trajectories ?engine ?inputs
-    ?cache ?wall program ~count =
+let run ?pool ?rng ?kind ?mode ?budget ?noise ?trajectories ?inputs ?cache
+    ?wall program ~count =
   match cache with
   | None ->
-      run_uncached ?pool ?rng ?kind ?mode ?budget ?noise ?trajectories ?engine
-        ?inputs ?wall program ~count
+      run_uncached ?pool ?rng ?kind ?mode ?budget ?noise ?trajectories ?inputs
+        ?wall program ~count
   | Some cache ->
       run_cached cache ?pool ?rng ?kind ?mode ?budget ?noise ?trajectories
-        ?engine ?inputs ?wall program ~count
+        ?inputs ?wall program ~count
 
 let tracepoint_ids t =
   if Array.length t.samples = 0 then []

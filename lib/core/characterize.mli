@@ -28,32 +28,21 @@ type t = {
           was enabled — [MORPHQPV_OBS=1] or [Obs.configure]) *)
 }
 
-(** Execution engine selection. [`Batched] compiles the program once into
-    fused segment operators ([Transpile.Segments]) and runs all sampled
-    inputs — and, for stochastic programs, all their trajectories — as
-    columns of one packed [Sim.Batch] buffer; it requires ideal noise.
-    [`Sequential] re-walks the circuit per sample with [Engine]. [`Auto]
-    (the default) picks batched exactly when the noise model is ideal —
-    except that [Basis]-kind sampling of an ideal, deterministic,
-    all-Clifford program with narrow tracepoint lightcones
-    ([Sim.Engine.stabilizer_applicable]) routes each sample to the
-    stabilizer tableau restricted to each tracepoint's cone. The routing
-    condition is purely static (program text only, never sampled values);
-    programs outside it take exactly the pre-routing code path and
-    generator streams. *)
-type engine = [ `Auto | `Batched | `Sequential ]
-
-(** [run ?pool ?rng ?kind ?mode ?noise ?trajectories ?engine ?inputs program
+(** [run ?pool ?rng ?kind ?mode ?noise ?trajectories ?inputs program
     ~count] samples [count] inputs of the given [kind] (default
     [Clifford]); an explicit [inputs] list overrides kind/count (used by
-    Strategy-adapt). Sampled inputs are characterized in parallel on [pool]
-    (default [Parallel.Pool.global ()]), each with its own
+    Strategy-adapt). Each input runs through {!Program.run_traces} — the
+    gate-by-gate engine, averaging [trajectories] runs for stochastic or
+    noisy programs. The one exception is [Basis]-kind sampling (no
+    explicit [inputs]) of an ideal program that {!Sim.Engine.auto_route}
+    accepts: each sample then goes to the stabilizer tableau, the sparse
+    engine or the stabilizer-rank engine, restricted to each tracepoint's
+    lightcone. That routing condition is static (program text only,
+    never sampled values). Sampled inputs are characterized in parallel
+    on [pool] (default [Parallel.Pool.global ()]), each with its own
     [Stats.Rng.split] child generator and private cost meter; meters are
     merged in sample order, so results and cost totals are identical for
-    any domain count — under either engine, which also consume identical
-    generator streams (the batched engine's traces agree with the
-    sequential ones to ~1e-15, the reordering error of fused-segment
-    arithmetic). [budget] selects the shot policy for the Tomography /
+    any domain count. [budget] selects the shot policy for the Tomography /
     Probs_only degradation modes (see {!Tomography.State_tomo.run}):
     absent or [`Fixed], behavior and generator streams are exactly the
     pre-budget ones; [`Sequential] stops each estimate early once it is
@@ -89,7 +78,6 @@ val run :
   ?budget:Stats.Tests.budget ->
   ?noise:Sim.Noise.t ->
   ?trajectories:int ->
-  ?engine:engine ->
   ?inputs:Qstate.Statevec.t list ->
   ?cache:Cache.t ->
   ?wall:float ->

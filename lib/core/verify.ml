@@ -488,40 +488,13 @@ let probe_accuracies ?rng ?(count = 20) approx program ~tracepoint =
   Obs.Span.with_ ~name:"verify.probe_accuracies" @@ fun () ->
   let rng = match rng with Some r -> r | None -> Stats.Rng.make 23 in
   let k = Program.num_input_qubits program in
-  let accuracy_of input truth =
-    let v = Qstate.Statevec.to_cvec input in
-    let rho_in = Cmat.outer v v in
-    Approx.accuracy (Approx.state_at approx ~tracepoint rho_in) truth
-  in
-  if Sim.Engine.is_deterministic program.Program.circuit then begin
-    (* measurement-free probes consume no generator draws beyond the input
-       sampling, so all inputs can be drawn up front (same stream as the
-       interleaved loop below) and the ground truth computed in one
-       segment-compiled batch *)
-    let inputs =
-      Array.init count (fun _ -> Clifford.Sampling.haar_state rng k)
-    in
-    let plan = Transpile.Segments.compile program.Program.circuit in
-    let traces =
-      Sim.Batch.run_traces plan ~count ~init:(fun i ->
-          Program.embed program inputs.(i))
-    in
-    Array.init count (fun i ->
-        let truth =
-          if tracepoint = 0 then
-            let v = Qstate.Statevec.to_cvec inputs.(i) in
-            Cmat.outer v v
-          else List.assoc tracepoint traces.(i)
-        in
-        accuracy_of inputs.(i) truth)
-  end
-  else
-    Array.init count (fun _ ->
-        let input = Clifford.Sampling.haar_state rng k in
-        let truth =
-          List.assoc tracepoint (Program.run_traces ~rng program ~input)
-        in
-        accuracy_of input truth)
+  Array.init count (fun _ ->
+      let input = Clifford.Sampling.haar_state rng k in
+      let truth =
+        List.assoc tracepoint (Program.run_traces ~rng program ~input)
+      in
+      let v = Qstate.Statevec.to_cvec input in
+      Approx.accuracy (Approx.state_at approx ~tracepoint (Cmat.outer v v)) truth)
 
 (* ------------------- certified transpilation (MQ021) ------------------- *)
 
@@ -529,13 +502,13 @@ type certify_report = {
   certified : bool;
   cert_summary : Transpile.Certify.summary;
   cert_failures : Transpile.Certify.failure list;
-  cert_plan : Sim.Batch.plan;
+  cert_plan : Transpile.Certify.plan;
 }
 
-let certify_transpile ?cache ?locs circuit =
+let certify_transpile ?locs circuit =
   let optimized, opt_steps = Transpile.Passes.optimize_cert circuit in
   let pruned, prune_step = Transpile.Passes.prune_lightcone_cert optimized in
-  let plan, seg_step = Transpile.Segments.compile_cert ?cache pruned in
+  let plan, seg_step = Transpile.Segments.compile_cert pruned in
   let cert = opt_steps @ [ prune_step; seg_step ] in
   match Transpile.Certify.check_plan ?locs cert circuit plan with
   | Ok summary ->

@@ -200,19 +200,16 @@ type certify_report = {
   cert_summary : Transpile.Certify.summary;
   cert_failures : Transpile.Certify.failure list;
       (** empty iff [certified]; each failure maps to lint code MQ021 *)
-  cert_plan : Sim.Batch.plan;
+  cert_plan : Transpile.Certify.plan;
 }
 
-(** [certify_transpile ?cache ?locs c] runs the full transpile pipeline the
+(** [certify_transpile ?locs c] runs the full transpile pipeline the
     verifier uses — peephole optimization to a fixed point, lightcone
     pruning, segment compilation — through the certificate-emitting pass
     variants and validates the whole chain with the independent checker
     ({!Transpile.Certify.check_plan}). [locs] gives per-instruction source
-    locations of [c] for diagnostics. With [cache], the (plan, certificate)
-    pair is memoized under a key prefix disjoint from the uncertified plan
-    cache, and the certificate is re-checked even on a cache hit. *)
+    locations of [c] for diagnostics. *)
 val certify_transpile :
-  ?cache:Cache.t ->
   ?locs:(int * int) array ->
   Circuit.t ->
   certify_report

@@ -14,8 +14,8 @@ let event_json (ev : Span.event) =
     | attrs -> Printf.sprintf ",\"args\":%s" (Metrics.labels_json attrs)
   in
   Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"morphqpv\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d%s}"
-    (Metrics.json_escape ev.Span.name)
+    "{\"name\":%s,\"cat\":\"morphqpv\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d%s}"
+    (Metrics.json_string ev.Span.name)
     (ph_string ev.Span.ph) ev.Span.ts_us ev.Span.tid args
 
 let trace_jsonl ?since ?until () =

@@ -135,17 +135,10 @@ let snapshot () =
 
 (* ------------------------------- JSON -------------------------------- *)
 
-let json_escape s =
+(* a quoted JSON string literal, escaped by the one shared escaper *)
+let json_string s =
   let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  Log.add_escaped b s;
   Buffer.contents b
 
 let labels_json labels =
@@ -153,7 +146,7 @@ let labels_json labels =
   ^ String.concat ","
       (List.map
          (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+           Printf.sprintf "%s:%s" (json_string k) (json_string v))
          labels)
   ^ "}"
 
@@ -167,8 +160,8 @@ let snapshot_json () =
         match e.data with
         | Counter v ->
             Some
-              (Printf.sprintf "{\"name\":\"%s\",\"labels\":%s,\"value\":%d}"
-                 (json_escape e.name) (labels_json e.labels) v)
+              (Printf.sprintf "{\"name\":%s,\"labels\":%s,\"value\":%d}"
+                 (json_string e.name) (labels_json e.labels) v)
         | _ -> None)
   in
   let gauges =
@@ -176,8 +169,8 @@ let snapshot_json () =
         match e.data with
         | Gauge v ->
             Some
-              (Printf.sprintf "{\"name\":\"%s\",\"labels\":%s,\"value\":%.9g}"
-                 (json_escape e.name) (labels_json e.labels) v)
+              (Printf.sprintf "{\"name\":%s,\"labels\":%s,\"value\":%.9g}"
+                 (json_string e.name) (labels_json e.labels) v)
         | _ -> None)
   in
   let histograms =
@@ -198,8 +191,8 @@ let snapshot_json () =
             let count = Array.fold_left ( + ) 0 h.hcounts in
             Some
               (Printf.sprintf
-                 "{\"name\":\"%s\",\"labels\":%s,\"buckets\":[%s],\"sum\":%.9g,\"count\":%d}"
-                 (json_escape e.name) (labels_json e.labels)
+                 "{\"name\":%s,\"labels\":%s,\"buckets\":[%s],\"sum\":%.9g,\"count\":%d}"
+                 (json_string e.name) (labels_json e.labels)
                  (String.concat "," buckets) h.hsum count)
         | _ -> None)
   in

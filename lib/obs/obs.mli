@@ -161,6 +161,14 @@ module Log : sig
       No-op below the threshold. *)
 
   val level_of_string : string -> level option
+
+  val add_escaped : Buffer.t -> string -> unit
+  (** [add_escaped b s] appends [s] as a quoted JSON string literal:
+      quote and backslash are backslash-escaped, newline, carriage return
+      and tab use their short escapes, other control characters
+      [\u00XX]. The one JSON string escaper: log lines, the metrics and
+      trace exporters and the RPC protocol's writer all use it, so the
+      output is always a single line. *)
 end
 
 (** Request-scoped context: a domain-local request id stamped onto every

@@ -228,9 +228,7 @@ let verify_request state ~emit ~id ~rid params =
          (Option.bind (Jsonx.member "certify" params) Jsonx.to_bool)
   in
   if want_certify then begin
-    let report =
-      Verify.certify_transpile ?cache:state.cache ~locs:full.Qasm.locs c
-    in
+    let report = Verify.certify_transpile ~locs:full.Qasm.locs c in
     let summary = report.Verify.cert_summary in
     emit
       (event id

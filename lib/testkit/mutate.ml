@@ -185,18 +185,18 @@ let wrong_block c =
   let items =
     List.map
       (function
-        | Sim.Batch.Block b when not !hit ->
+        | Transpile.Certify.Block b when not !hit ->
             hit := true;
-            let u = Linalg.Cmat.copy b.Sim.Batch.u in
+            let u = Linalg.Cmat.copy b.Transpile.Certify.u in
             Linalg.Cmat.set u 0 0
               (Linalg.Cx.add (Linalg.Cmat.get u 0 0) (Linalg.Cx.make 0.05 0.));
-            Sim.Batch.Block { b with Sim.Batch.u }
+            Transpile.Certify.Block { b with Transpile.Certify.u }
         | item -> item)
-      plan.Sim.Batch.items
+      plan.Transpile.Certify.items
   in
   if not !hit then None
   else
-    let plan' = { plan with Sim.Batch.items } in
+    let plan' = { plan with Transpile.Certify.items } in
     Some
       {
         mutant_name = "wrong_block";

@@ -37,11 +37,14 @@ let statevec_vs_tableau circ =
 let statevec_vs_sparse ?(input = 0) circ =
   let c = Gen.build circ in
   let input = input mod (1 lsl Circuit.num_qubits c) in
-  let sparse = Baselines.Sparse_sim.run c ~input in
+  let sparse =
+    match (Sim.Sparse.run ~input c).Sim.Sparse.final with
+    | Sim.Sparse.Sparse_state t -> Sim.Sparse.to_statevec t
+    | Sim.Sparse.Dense_state st -> st
+  in
   let initial = Qstate.Statevec.basis (Circuit.num_qubits c) input in
   let dense = (Sim.Engine.run ~initial c).Sim.Engine.state in
-  Qstate.Statevec.fidelity_pure (Baselines.Sparse_sim.to_statevec sparse) dense
-  >= 1.0 -. eps
+  Qstate.Statevec.fidelity_pure sparse dense >= 1.0 -. eps
 
 let gates_agree (a : Circuit.Gate.t) (b : Circuit.Gate.t) =
   a.Circuit.Gate.name = b.Circuit.Gate.name
@@ -111,103 +114,10 @@ let certified_pass_sound circ =
 let certified_mutants_rejected circ =
   List.for_all Mutate.rejected (Mutate.mutants (Gen.build circ))
 
-(* ---- segment-compiled batch execution vs the gate-by-gate engine ---- *)
-
-let outcomes_close (a : Sim.Engine.outcome) (b : Sim.Engine.outcome) =
-  a.Sim.Engine.clbits = b.Sim.Engine.clbits
-  && Qstate.Statevec.equal ~eps a.Sim.Engine.state b.Sim.Engine.state
-  && traces_match a.Sim.Engine.traces b.Sim.Engine.traces
-
 let cmat_bits a b =
   a.Linalg.Cmat.re = b.Linalg.Cmat.re && a.Linalg.Cmat.im = b.Linalg.Cmat.im
 
-let outcomes_bit_identical (a : Sim.Engine.outcome) (b : Sim.Engine.outcome) =
-  a.Sim.Engine.clbits = b.Sim.Engine.clbits
-  && a.Sim.Engine.state.Qstate.Statevec.re = b.Sim.Engine.state.Qstate.Statevec.re
-  && a.Sim.Engine.state.Qstate.Statevec.im = b.Sim.Engine.state.Qstate.Statevec.im
-  && List.length a.Sim.Engine.traces = List.length b.Sim.Engine.traces
-  && List.for_all2
-       (fun (ia, ma) (ib, mb) -> ia = ib && cmat_bits ma mb)
-       a.Sim.Engine.traces b.Sim.Engine.traces
-
-let run_pair ?cutoff ?block_cutoff c =
-  let plan = Transpile.Segments.compile ?cutoff ?block_cutoff c in
-  let seed = 0x5EED in
-  let eng = Sim.Engine.run ~rng:(Stats.Rng.make seed) c in
-  let bat =
-    Sim.Batch.run_seq ~rng:(Stats.Rng.make seed) plan
-      (Qstate.Statevec.zero (Circuit.num_qubits c))
-  in
-  (eng, bat)
-
-let batch_vs_engine circ =
-  let eng, bat = run_pair (Gen.build circ) in
-  outcomes_close eng bat
-
-let batch_vs_engine_packed circ =
-  (* tiny cutoffs force the greedy packing and Direct-gate compile paths *)
-  let eng, bat = run_pair ~cutoff:2 ~block_cutoff:2 (Gen.build circ) in
-  outcomes_close eng bat
-
-(* pseudorandom (unnormalized-then-normalized) input column, so batched
-   kernels see dense amplitudes rather than sparse basis states *)
-let random_state rng n =
-  let d = 1 lsl n in
-  let re = Array.init d (fun _ -> Stats.Rng.float rng 2. -. 1.) in
-  let im = Array.init d (fun _ -> Stats.Rng.float rng 2. -. 1.) in
-  let st = Qstate.Statevec.of_cvec n (Linalg.Cvec.of_arrays re im) in
-  Qstate.Statevec.normalize st;
-  st
-
-let batch_columns = 23
-
-let batch_bit_identical ?pool circ =
-  let c = Gen.build circ in
-  let n = Circuit.num_qubits c in
-  let plan = Transpile.Segments.compile c in
-  let states =
-    Array.init batch_columns (fun i -> random_state (Stats.Rng.make (77 + i)) n)
-  in
-  let rngs () =
-    Array.init batch_columns (fun i -> Stats.Rng.make (1000 + i))
-  in
-  let packed = Sim.Batch.run ?pool ~rngs:(rngs ()) plan states in
-  let ok = ref true in
-  Array.iteri
-    (fun i st ->
-      let solo = Sim.Batch.run_seq ~rng:(Stats.Rng.make (1000 + i)) plan st in
-      if not (outcomes_bit_identical packed.(i) solo) then ok := false)
-    states;
-  !ok
-
-(* Deliberately broken segmentation: shift every tracepoint fence past the
-   operator that follows it, so the snapshot observes a state one segment
-   too late. Running this through [batch_vs_engine]-style comparison MUST
-   fail on any circuit where a traced state changes across the next
-   operator — the shrinker smoke test relies on it. *)
-let delay_tracepoint_fences (plan : Sim.Batch.plan) =
-  let rec go = function
-    | Sim.Batch.Fence (Circuit.Instr.Tracepoint _ as tp)
-      :: ((Sim.Batch.Block _ | Sim.Batch.Direct _) as op)
-      :: rest ->
-        op :: Sim.Batch.Fence tp :: go rest
-    | item :: rest -> item :: go rest
-    | [] -> []
-  in
-  { plan with Sim.Batch.items = go plan.items }
-
-let batch_fence_respected circ =
-  let c = Gen.build circ in
-  let plan = delay_tracepoint_fences (Transpile.Segments.compile c) in
-  let seed = 0x5EED in
-  let eng = Sim.Engine.run ~rng:(Stats.Rng.make seed) c in
-  let bat =
-    Sim.Batch.run_seq ~rng:(Stats.Rng.make seed) plan
-      (Qstate.Statevec.zero (Circuit.num_qubits c))
-  in
-  outcomes_close eng bat
-
-(* ---- characterization: batched engine vs sequential engine ---- *)
+(* ---- characterization ---- *)
 
 let costs_equal (a : Sim.Cost.t) (b : Sim.Cost.t) =
   a.Sim.Cost.executions = b.Sim.Cost.executions
@@ -291,66 +201,106 @@ let samples_agree ?(bitwise = false) (a : Morphcore.Characterize.t)
              sb.Morphcore.Characterize.traces)
        a.Morphcore.Characterize.samples b.Morphcore.Characterize.samples
 
-(* the pinned regression for the stabilizer auto-routing: on any program
-   OUTSIDE the routing condition, [`Auto] must remain bit-for-bit the
-   [`Batched] path it was before the routing existed *)
-let characterize_auto_unchanged ?pool ?(kind = Clifford.Sampling.Clifford) circ =
-  let c = Gen.build circ in
-  (* the routing only ever fires for Basis-kind sampling; under any other
-     kind `Auto must equal `Batched on every program *)
-  (kind = Clifford.Sampling.Basis && Sim.Engine.auto_route c <> None)
-  ||
-  let run engine =
-    Morphcore.Characterize.run ?pool ~rng:(Stats.Rng.make 99) ~kind
-      ~trajectories:6 ~engine (Morphcore.Program.make c) ~count:4
+(* A hand-written characterization: per sample, the split child
+   generator, [Program.run_traces] and the mode's degradation, in the
+   order [Characterize.run] documents. The degradation mirrors the
+   (private) one in [Characterize]; keep the two in step. *)
+let characterize_reference ~rng ?noise ~trajectories ~mode program ~count =
+  let module C = Morphcore.Characterize in
+  let k = Morphcore.Program.num_input_qubits program in
+  let circuit = program.Morphcore.Program.circuit in
+  let inputs =
+    Array.init count (fun index ->
+        Clifford.Sampling.state rng Clifford.Sampling.Clifford k ~index)
   in
-  samples_agree ~bitwise:true (run `Auto) (run `Batched)
+  let children = Array.init count (Stats.Rng.split rng) in
+  let cost = Sim.Cost.create () in
+  let degrade rng (id, exact) =
+    if id = 0 then (id, exact)
+    else
+      match mode with
+      | C.Exact ->
+          Sim.Cost.record_many cost circuit ~circuits:1 ~shots_each:1;
+          (id, exact)
+      | C.Tomography { shots; project } ->
+          let tomo =
+            Tomography.State_tomo.run ~project rng ~shots ~truth:exact ()
+          in
+          Sim.Cost.record_total cost circuit
+            ~executions:tomo.Tomography.State_tomo.settings
+            ~total_shots:tomo.Tomography.State_tomo.shots_used;
+          (id, tomo.Tomography.State_tomo.rho)
+      | C.Probs_only { shots } ->
+          let tomo =
+            Tomography.State_tomo.probs_only rng ~shots ~truth:exact ()
+          in
+          Sim.Cost.record_total cost circuit ~executions:1
+            ~total_shots:tomo.Tomography.State_tomo.shots_used;
+          (id, tomo.Tomography.State_tomo.rho)
+  in
+  let samples =
+    Array.mapi
+      (fun i input_state ->
+        let rng = children.(i) in
+        let traces =
+          Morphcore.Program.run_traces ~rng ?noise ~trajectories program
+            ~input:input_state
+          |> List.map (degrade rng)
+        in
+        let v = Qstate.Statevec.to_cvec input_state in
+        { C.input_state; input_dm = Linalg.Cmat.outer v v; traces })
+      inputs
+  in
+  (samples, cost)
 
-(* stabilizer-routed characterization vs the sequential engine: same cost
-   meter, traces within eps *)
+let characterize_matches_reference ?pool ?noise
+    ?(mode = Morphcore.Characterize.Exact) circ =
+  let program = Morphcore.Program.make (Gen.build circ) in
+  let t =
+    Morphcore.Characterize.run ?pool ~rng:(Stats.Rng.make 99) ~mode ?noise
+      ~trajectories:6 program ~count:4
+  in
+  let samples, cost =
+    characterize_reference ~rng:(Stats.Rng.make 99) ?noise ~trajectories:6
+      ~mode program ~count:4
+  in
+  samples_agree ~bitwise:true t
+    { t with Morphcore.Characterize.samples; cost }
+
+(* Routing oracles: the reference draws the same basis inputs up front and
+   passes them through [Characterize.run ~inputs], which the router never
+   takes — so it runs the per-sample [Program.run_traces] path on exactly
+   the inputs and child generators the routed run uses. Same cost meter,
+   traces within eps. *)
+let routed_vs_reference ?pool ?wall c =
+  let program = Morphcore.Program.make c in
+  let routed =
+    Morphcore.Characterize.run ?pool ?wall ~rng:(Stats.Rng.make 99)
+      ~kind:Clifford.Sampling.Basis program ~count:4
+  in
+  let rng = Stats.Rng.make 99 in
+  let k = Morphcore.Program.num_input_qubits program in
+  let inputs =
+    List.init 4 (fun index ->
+        Clifford.Sampling.state rng Clifford.Sampling.Basis k ~index)
+  in
+  let reference =
+    Morphcore.Characterize.run ?pool ?wall ~rng ~inputs program ~count:4
+  in
+  samples_agree routed reference
+
 let characterize_stabilizer_route ?pool circ =
   let c = Gen.build circ in
-  (not (Sim.Engine.stabilizer_applicable c))
-  ||
-  let run engine =
-    Morphcore.Characterize.run ?pool ~rng:(Stats.Rng.make 99)
-      ~kind:Clifford.Sampling.Basis ~engine (Morphcore.Program.make c)
-      ~count:4
-  in
-  samples_agree (run `Auto) (run `Sequential)
+  (not (Sim.Engine.stabilizer_applicable c)) || routed_vs_reference ?pool c
 
-(* scalable-route characterization (wall forced to zero so the sparse /
-   rank engines fire on small circuits) vs the sequential engine: same
-   cost meter, traces within eps. Vacuous when the router still declines
-   (e.g. Clifford circuits go to the stabilizer route, covered above). *)
+(* the wall forced to zero so the sparse / rank engines fire on small
+   circuits; vacuous when the router still declines (e.g. Clifford
+   circuits go to the stabilizer route, covered above) *)
 let characterize_scale_route ?pool circ =
   let c = Gen.build circ in
   match Sim.Engine.auto_route ~wall:0. c with
-  | Some (`Sparse | `Rank) ->
-      let run engine =
-        Morphcore.Characterize.run ?pool ~wall:0. ~rng:(Stats.Rng.make 99)
-          ~kind:Clifford.Sampling.Basis ~engine (Morphcore.Program.make c)
-          ~count:4
-      in
-      samples_agree (run `Auto) (run `Sequential)
+  | Some (`Sparse | `Rank) -> routed_vs_reference ?pool ~wall:0. c
   | Some `Stabilizer | None -> true
-
-let characterize_engines_agree ?pool circ =
-  let program = Morphcore.Program.make (Gen.build circ) in
-  let run engine =
-    Morphcore.Characterize.run ?pool ~rng:(Stats.Rng.make 99) ~trajectories:6
-      ~engine program ~count:4
-  in
-  let a = run `Batched and b = run `Sequential in
-  costs_equal a.Morphcore.Characterize.cost b.Morphcore.Characterize.cost
-  && Array.for_all2
-       (fun (sa : Morphcore.Characterize.sample)
-            (sb : Morphcore.Characterize.sample) ->
-         cmat_bits sa.Morphcore.Characterize.input_dm
-           sb.Morphcore.Characterize.input_dm
-         && traces_match sa.Morphcore.Characterize.traces
-              sb.Morphcore.Characterize.traces)
-       a.Morphcore.Characterize.samples b.Morphcore.Characterize.samples
 
 (* ---- cache transparency ---- *)
 
@@ -392,8 +342,8 @@ let samples_traces_close (a : Morphcore.Characterize.t)
    with each other (every cached value is a pure function of its key;
    tomography degradation draws from key-derived generators), and with
    the uncached run within the engine tolerance (the incremental path
-   simulates lightcone-restricted units, the same ~1e-15 reordering as
-   batched-vs-sequential). *)
+   simulates lightcone-restricted units, which reorders the arithmetic
+   by ~1e-15). *)
 let cache_transparent ?pool ?dir circ =
   let c = Gen.build circ in
   let program = Morphcore.Program.make c in
@@ -442,12 +392,8 @@ let obs_transparent circ =
         c
     in
     let plan = Transpile.Segments.compile c in
-    let bat =
-      Sim.Batch.run_seq ~rng:(Stats.Rng.make 0x0B5) plan
-        (Qstate.Statevec.zero (Circuit.num_qubits c))
-    in
     let dm = if measures <= 6 then Some (Sim.Dm_engine.run c) else None in
-    (eng, tps, bat, dm)
+    (eng, tps, plan, dm)
   in
   let was = Obs.enabled () in
   Fun.protect

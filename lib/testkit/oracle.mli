@@ -65,37 +65,6 @@ val certified_pass_sound : Gen.circ -> bool
     the generated circuit is rejected by the checker. *)
 val certified_mutants_rejected : Gen.circ -> bool
 
-(** [batch_vs_engine c] — segment-compile the circuit and run it once
-    through [Sim.Batch.run_seq] against [Sim.Engine.run] with identically
-    seeded generators: classical bits must agree exactly, state and
-    tracepoint snapshots within {!eps} (fused segments reorder the
-    floating-point arithmetic by ~1e-15). *)
-val batch_vs_engine : Gen.circ -> bool
-
-(** [batch_vs_engine_packed c] — same oracle with [cutoff = 2] and
-    [block_cutoff = 2], forcing the greedy-packing and [Direct]-gate
-    compile paths that wide default cutoffs rarely exercise. *)
-val batch_vs_engine_packed : Gen.circ -> bool
-
-(** [batch_bit_identical ?pool c] — the batched path's determinism
-    contract: packing 23 dense pseudorandom columns into one
-    [Sim.Batch.run] is bit-for-bit identical, per column, to running each
-    column alone through [Sim.Batch.run_seq] with the same per-column
-    generator (classical bits, final amplitudes and trace matrices compared
-    with [=], no tolerance). *)
-val batch_bit_identical : ?pool:Parallel.Pool.t -> Gen.circ -> bool
-
-(** [delay_tracepoint_fences plan] — a deliberately broken segmentation
-    that moves every tracepoint fence past the operator that follows it.
-    Used by the shrinker smoke test: {!batch_fence_respected} must fail on
-    any circuit whose traced state changes across that operator. *)
-val delay_tracepoint_fences : Sim.Batch.plan -> Sim.Batch.plan
-
-(** [batch_fence_respected c] — {!batch_vs_engine} but with the plan's
-    tracepoint fences deliberately delayed ({!delay_tracepoint_fences});
-    holds only when the misplaced fences happen to be unobservable. *)
-val batch_fence_respected : Gen.circ -> bool
-
 (** [prune_preserves_traces c] — {!Transpile.Passes.prune_lightcone} keeps
     every tracepoint's reduced state within {!eps} on a pure circuit (the
     oracle is exact only there: pruned resets would shift the measurement
@@ -129,27 +98,34 @@ val sparse_vs_statevec : Gen.circ -> bool
     engine within {!eps}; vacuously true otherwise. *)
 val rank_vs_statevec : Gen.circ -> bool
 
-(** [characterize_auto_unchanged ?pool ?kind c] — the pinned regression for
-    stabilizer auto-routing: on any program where the routing does not fire
-    (any [kind] other than [Basis], or a non-applicable circuit),
-    [Characterize.run ~engine:`Auto] is bit-for-bit the [`Batched] path it
-    was before the routing existed. *)
-val characterize_auto_unchanged :
-  ?pool:Parallel.Pool.t -> ?kind:Clifford.Sampling.kind -> Gen.circ -> bool
+(** [characterize_matches_reference ?pool ?noise ?mode c] —
+    [Morphcore.Characterize.run] (4 Clifford-kind samples, 6 trajectories,
+    seeded) is bit-for-bit a hand-written per-sample loop: sampled inputs,
+    one split child generator per sample, [Program.run_traces] and the
+    [mode]'s degradation (default [Exact]). Cost meters, input density
+    matrices and every trace are compared with [=], no tolerance. Run on
+    pure, measuring and noisy programs. *)
+val characterize_matches_reference :
+  ?pool:Parallel.Pool.t ->
+  ?noise:Sim.Noise.t ->
+  ?mode:Morphcore.Characterize.mode ->
+  Gen.circ ->
+  bool
 
 (** [characterize_stabilizer_route ?pool c] — on applicable circuits,
-    [Basis]-kind characterization under [`Auto] (stabilizer-routed) matches
-    [`Sequential]: identical cost meters, traces within {!eps}; vacuously
-    true otherwise. *)
+    [Basis]-kind characterization (stabilizer-routed) matches a reference
+    that draws the same basis inputs up front and passes them as
+    [Characterize.run ~inputs], which is never routed: identical cost
+    meters, traces within {!eps}; vacuously true otherwise. *)
 val characterize_stabilizer_route : ?pool:Parallel.Pool.t -> Gen.circ -> bool
 
 (** [characterize_scale_route ?pool c] — with the dense-amplitude wall
     forced to zero via [Characterize.run ~wall:0.] (the global
     [Sim.Engine.dense_amp_wall] is never touched) so the scalable routes
     fire on small circuits: whenever [auto_route ~wall:0.] picks
-    [`Sparse] or [`Rank], [Basis]-kind characterization under [`Auto]
-    matches [`Sequential] (identical cost meters, traces within {!eps});
-    vacuously true otherwise. *)
+    [`Sparse] or [`Rank], [Basis]-kind characterization matches the same
+    [~inputs] reference as {!characterize_stabilizer_route} (identical
+    cost meters, traces within {!eps}); vacuously true otherwise. *)
 val characterize_scale_route : ?pool:Parallel.Pool.t -> Gen.circ -> bool
 
 (** [cache_transparent ?pool ?dir c] — content-addressed caching is
@@ -160,14 +136,9 @@ val characterize_scale_route : ?pool:Parallel.Pool.t -> Gen.circ -> bool
     re-read from disk). *)
 val cache_transparent : ?pool:Parallel.Pool.t -> ?dir:string -> Gen.circ -> bool
 
-(** [characterize_engines_agree ?pool c] — [Morphcore.Characterize.run]
-    under [`Batched] vs [`Sequential] on the same seed: identical cost
-    meters and input density matrices (bitwise), traces within {!eps}. *)
-val characterize_engines_agree : ?pool:Parallel.Pool.t -> Gen.circ -> bool
-
 (** [obs_transparent c] — the observability layer's zero-interference
-    contract: every engine (gate-by-gate, tracepoint routing, segment
-    batch, density matrix) produces bit-for-bit identical outputs with
+    contract: every engine (gate-by-gate, tracepoint routing, density
+    matrix) and the segment compiler produce bit-for-bit identical outputs with
     [Obs] disabled and enabled. Restores the caller's [Obs] setting. *)
 val obs_transparent : Gen.circ -> bool
 

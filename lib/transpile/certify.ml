@@ -48,7 +48,17 @@ type obligation =
   | Barrier_elim of { index : int }
       (** input barrier [index] was dropped (plans carry no barriers) *)
 
-type target = Circ of Circuit.t | Plan of Sim.Batch.plan
+(* the segment compiler's output: fused blocks, direct gates and fences *)
+type block = { qubits : int array; u : Linalg.Cmat.t }
+
+type item =
+  | Block of block
+  | Direct of Circuit.Gate.t
+  | Fence of Circuit.Instr.t
+
+type plan = { num_qubits : int; num_clbits : int; items : item list }
+
+type target = Circ of Circuit.t | Plan of plan
 
 type step = {
   pass : string;
@@ -131,7 +141,7 @@ let failure_message f = Format.asprintf "%a" pp_failure f
 (* both circuits and plans are checked as arrays of operations *)
 type op =
   | Op_gate of Circuit.Gate.t
-  | Op_block of Sim.Batch.block
+  | Op_block of block
   | Op_other of Circuit.Instr.t
 
 let ops_of_circuit c =
@@ -140,18 +150,18 @@ let ops_of_circuit c =
        (function Circuit.Instr.Gate g -> Op_gate g | i -> Op_other i)
        (Circuit.instrs c))
 
-let ops_of_plan (p : Sim.Batch.plan) =
+let ops_of_plan (p : plan) =
   Array.of_list
     (List.map
        (function
-         | Sim.Batch.Block b -> Op_block b
-         | Sim.Batch.Direct g -> Op_gate g
-         | Sim.Batch.Fence i -> Op_other i)
-       p.Sim.Batch.items)
+         | Block b -> Op_block b
+         | Direct g -> Op_gate g
+         | Fence i -> Op_other i)
+       p.items)
 
 let op_qubits = function
   | Op_gate g -> Circuit.Gate.qubits g
-  | Op_block b -> Array.to_list b.Sim.Batch.qubits
+  | Op_block b -> Array.to_list b.qubits
   | Op_other i -> Circuit.Instr.qubits i
 
 (* wires for the order-projection check: qubit wires, plus classical-bit
@@ -175,9 +185,7 @@ let op_equal a b =
   match (a, b) with
   | Op_gate g, Op_gate g' -> Circuit.Gate.equal g g'
   | Op_other i, Op_other i' -> i = i'
-  | Op_block b, Op_block b' ->
-      b.Sim.Batch.qubits = b'.Sim.Batch.qubits
-      && cmat_bits b.Sim.Batch.u b'.Sim.Batch.u
+  | Op_block b, Op_block b' -> b.qubits = b'.qubits && cmat_bits b.u b'.u
   | _ -> false
 
 let op_describe = function
@@ -185,7 +193,7 @@ let op_describe = function
   | Op_block b ->
       Printf.sprintf "block[%s]"
         (String.concat ","
-           (List.map string_of_int (Array.to_list b.Sim.Batch.qubits)))
+           (List.map string_of_int (Array.to_list b.qubits)))
   | Op_other i -> Format.asprintf "%a" Circuit.Instr.pp i
 
 (* ------------------------- local unitary algebra ---------------------- *)
@@ -217,16 +225,16 @@ let embed_gate (s : int array) (g : Circuit.Gate.t) =
 (* a plan block embedded over [s]: block-local bit [t] is global qubit
    [b.qubits.(t)], which sits at bit [pos t] of the support space; entries
    are identity on the support bits outside the block *)
-let embed_block (s : int array) (b : Sim.Batch.block) =
+let embed_block (s : int array) (b : block) =
   let k = Array.length s in
-  let m = Array.length b.Sim.Batch.qubits in
+  let m = Array.length b.qubits in
   let pos =
     Array.map
       (fun q ->
         match pos_in s q with
         | Some p -> p
         | None -> invalid_arg "Certify.embed_block: qubit outside support")
-      b.Sim.Batch.qubits
+      b.qubits
   in
   let dim = 1 lsl k in
   let mask = Array.fold_left (fun acc p -> acc lor (1 lsl p)) 0 pos in
@@ -242,7 +250,7 @@ let embed_block (s : int array) (b : Sim.Batch.block) =
     let sr = gather r in
     for c = 0 to dim - 1 do
       if r land lnot mask = c land lnot mask then
-        Linalg.Cmat.set out r c (Linalg.Cmat.get b.Sim.Batch.u sr (gather c))
+        Linalg.Cmat.set out r c (Linalg.Cmat.get b.u sr (gather c))
     done
   done;
   out
@@ -619,7 +627,7 @@ let chain_failure ~pass ~kind reason =
 
 let target_registers = function
   | Circ c -> (Circuit.num_qubits c, Circuit.num_clbits c)
-  | Plan p -> (p.Sim.Batch.num_qubits, p.Sim.Batch.num_clbits)
+  | Plan p -> (p.num_qubits, p.num_clbits)
 
 let target_ops = function
   | Circ c -> ops_of_circuit c

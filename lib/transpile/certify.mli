@@ -25,7 +25,27 @@ type obligation =
   | Barrier_elim of { index : int }
       (** input barrier [index] was dropped (plans carry no barriers) *)
 
-type target = Circ of Circuit.t | Plan of Sim.Batch.plan
+(** A fused segment operator: [u] is the [2^k x 2^k] unitary of a run of
+    gates restricted to [qubits] (sorted ascending; local index bit [j]
+    is global qubit [qubits.(j)]). *)
+type block = { qubits : int array; u : Linalg.Cmat.t }
+
+type item =
+  | Block of block  (** a fused segment operator *)
+  | Direct of Circuit.Gate.t
+      (** one gate kept unfused (e.g. a many-control Toffoli too wide to
+          materialize) *)
+  | Fence of Circuit.Instr.t
+      (** a non-unitary instruction; never [Instr.Gate] or [Barrier] *)
+
+(** A segment-compiled plan ({!Segments.compile}): the circuit with its
+    purely-unitary segments fused into blocks between the fences that
+    delimit them. It is a certification target only — nothing executes
+    it. The representation is fully exposed so tests can build
+    (deliberately broken) plans by hand. *)
+type plan = { num_qubits : int; num_clbits : int; items : item list }
+
+type target = Circ of Circuit.t | Plan of plan
 
 type step = {
   pass : string;  (** pass name, e.g. ["cancel_inverses"] *)
@@ -41,7 +61,7 @@ type step = {
 
 (** One step per pass application, in application order. The first step's
     input is the original circuit; each later step's input is the previous
-    step's output. Only the final step may produce a {!Sim.Batch.plan}. *)
+    step's output. Only the final step may produce a {!plan}. *)
 type certificate = step list
 
 type failure = {
@@ -87,13 +107,13 @@ val check :
   (summary, failure list) result
 
 (** [check_plan cert before plan] is {!check} for a chain ending in a
-    simulation plan (segment compilation). *)
+    segment-compiled plan. *)
 val check_plan :
   ?locs:(int * int) array ->
   ?eps:float ->
   certificate ->
   Circuit.t ->
-  Sim.Batch.plan ->
+  plan ->
   (summary, failure list) result
 
 (** Obligation counts of a certificate, without checking it. *)

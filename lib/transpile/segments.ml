@@ -26,17 +26,17 @@ let block_of sup gates =
       (fun c g -> Circuit.add (Circuit.Instr.Gate (Circuit.Gate.remap local g)) c)
       (Circuit.empty k) gates
   in
-  { Sim.Batch.qubits; u = Sim.Engine.unitary sub }
+  { Certify.qubits; u = Sim.Engine.unitary sub }
 
-(* Cost-aware fusion. A fused block is applied as a dense, zero-skipping
-   [m x m] operator costing [nnz(u) / m] complex multiply-accumulates per
-   amplitude; the batch engine's row-sweeping kernels apply a controlled
-   single-target gate for [2 / 2^controls] per amplitude and a swap as
-   pure moves. A candidate block is kept only when it is at least as
-   cheap as replaying its gates directly — true for long narrow segments
-   (the characterization hot path), false for short dense ones (random
-   circuits where barely two gates share a support). Gates the direct
-   kernels cannot express (multi-target non-swap) force fusion. *)
+(* Cost-aware fusion, priced per amplitude of a state-vector pass: a
+   fused block as a dense, zero-skipping [m x m] operator costs
+   [nnz(u) / m] complex multiply-accumulates; a row sweep applies a
+   controlled single-target gate for [2 / 2^controls] and a swap as pure
+   moves. A candidate block is kept only when it is at least as cheap as
+   replaying its gates directly — true for long narrow segments, false
+   for short dense ones (random circuits where barely two gates share a
+   support). Gates a row sweep cannot express (multi-target non-swap)
+   force fusion. *)
 let direct_cost (g : Circuit.Gate.t) =
   match (g.Circuit.Gate.name, g.Circuit.Gate.targets) with
   | "swap", [ _; _ ] when g.Circuit.Gate.controls = [] -> Some 0.5
@@ -45,10 +45,10 @@ let direct_cost (g : Circuit.Gate.t) =
       Some (2.0 /. float_of_int (1 lsl nc))
   | _ -> None
 
-let block_cost (blk : Sim.Batch.block) =
-  let m = 1 lsl Array.length blk.Sim.Batch.qubits in
-  let re = blk.Sim.Batch.u.Linalg.Cmat.re
-  and im = blk.Sim.Batch.u.Linalg.Cmat.im in
+let block_cost (blk : Certify.block) =
+  let m = 1 lsl Array.length blk.Certify.qubits in
+  let re = blk.Certify.u.Linalg.Cmat.re
+  and im = blk.Certify.u.Linalg.Cmat.im in
   let nnz = ref 0 in
   Array.iteri (fun i x -> if x <> 0. || im.(i) <> 0. then incr nnz) re;
   float_of_int !nnz /. float_of_int m
@@ -66,7 +66,7 @@ let emit_fused ?(clifford_direct = false) emit sup tagged =
       (Some 0.) gates
   in
   let all_direct () =
-    List.iter (fun (i, g) -> emit ([ i ], Sim.Batch.Direct g)) tagged
+    List.iter (fun (i, g) -> emit ([ i ], Certify.Direct g)) tagged
   in
   match dcost with
   | Some total when total < 1.0 ->
@@ -83,9 +83,9 @@ let emit_fused ?(clifford_direct = false) emit sup tagged =
       let blk = block_of sup gates in
       match dcost with
       | Some total when block_cost blk > total -> all_direct ()
-      | _ -> emit (List.map fst tagged, Sim.Batch.Block blk))
+      | _ -> emit (List.map fst tagged, Certify.Block blk))
 
-let compile_direct_cert ?(cutoff = default_cutoff)
+let compile_cert ?(cutoff = default_cutoff)
     ?(block_cutoff = default_block_cutoff) ?(clifford_direct = false) c =
   if cutoff < 1 || block_cutoff < 1 then
     invalid_arg "Segments.compile: cutoffs must be >= 1";
@@ -93,16 +93,15 @@ let compile_direct_cert ?(cutoff = default_cutoff)
   let items = ref [] in
   let pending = ref [] in
   let dropped_barriers = ref [] in
-  let source_ops = ref 0 in
   let emit ((_, item) as tagged_item) =
     if Obs.enabled () then begin
       match item with
-      | Sim.Batch.Block b ->
+      | Certify.Block b ->
           Obs.Metrics.counter_add "segment_fused_total" 1;
           Obs.Metrics.observe "segment_block_qubits"
-            (float_of_int (Array.length b.Sim.Batch.qubits))
-      | Sim.Batch.Direct _ -> Obs.Metrics.counter_add "segment_direct_total" 1
-      | Sim.Batch.Fence _ -> ()
+            (float_of_int (Array.length b.Certify.qubits))
+      | Certify.Direct _ -> Obs.Metrics.counter_add "segment_direct_total" 1
+      | Certify.Fence _ -> ()
     end;
     items := tagged_item :: !items
   in
@@ -126,7 +125,7 @@ let compile_direct_cert ?(cutoff = default_cutoff)
             | [ (i, g) ] when IntSet.cardinal !cur_sup > block_cutoff ->
                 (* a single gate too wide to fuse (e.g. a many-control
                    Toffoli): the row-sweeping kernel beats a huge block *)
-                emit ([ i ], Sim.Batch.Direct g)
+                emit ([ i ], Certify.Direct g)
             | gs -> emit_fused ~clifford_direct emit !cur_sup gs
           in
           List.iter
@@ -149,36 +148,33 @@ let compile_direct_cert ?(cutoff = default_cutoff)
   List.iteri
     (fun idx instr ->
       match instr with
-      | Circuit.Instr.Gate g ->
-          incr source_ops;
-          pending := (idx, g) :: !pending
+      | Circuit.Instr.Gate g -> pending := (idx, g) :: !pending
       | Circuit.Instr.Barrier _ ->
           (* a barrier fences fusion but emits nothing at run time *)
           flush_segment ();
           dropped_barriers := idx :: !dropped_barriers
       | fence ->
           flush_segment ();
-          emit ([ idx ], Sim.Batch.Fence fence))
+          emit ([ idx ], Certify.Fence fence))
     (Circuit.instrs c);
   flush_segment ();
   let tagged_items = List.rev !items in
   let plan =
     {
-      Sim.Batch.num_qubits = Circuit.num_qubits c;
+      Certify.num_qubits = Circuit.num_qubits c;
       num_clbits = Circuit.num_clbits c;
       items = List.map snd tagged_items;
-      source_ops = !source_ops;
     }
   in
   let _, mapped_rev, groups_rev =
     List.fold_left
       (fun (k, mapped, groups) (origins, item) ->
         match (item, origins) with
-        | Sim.Batch.Block _, os ->
+        | Certify.Block _, os ->
             ( k + 1,
               mapped,
               Certify.Local_equiv { before = os; after = [ k ] } :: groups )
-        | (Sim.Batch.Direct _ | Sim.Batch.Fence _), [ i ] ->
+        | (Certify.Direct _ | Certify.Fence _), [ i ] ->
             (k + 1, (i, k) :: mapped, groups)
         | _ -> assert false)
       (0, [], []) tagged_items
@@ -198,49 +194,5 @@ let compile_direct_cert ?(cutoff = default_cutoff)
   in
   (plan, step)
 
-let compile_direct ?cutoff ?block_cutoff ?clifford_direct c =
-  fst (compile_direct_cert ?cutoff ?block_cutoff ?clifford_direct c)
-
-(* Plan memo: keyed by the exact circuit bytes (barriers and fences are
-   semantically load-bearing here, so no canonicalization) plus the
-   cutoffs. A plan is pure data (fused operators, direct gates, fence
-   instructions), so a cached plan is the compiled plan. *)
-let plan_key ~tag ?cutoff ?block_cutoff ?clifford_direct c =
-  Cache.Canon.digest
-    (String.concat "\x00"
-       [
-         tag;
-         Cache.Canon.exact_bytes c;
-         Marshal.to_string (cutoff, block_cutoff, clifford_direct) [];
-       ])
-
-let compile ?cutoff ?block_cutoff ?clifford_direct ?cache c =
-  match cache with
-  | None -> compile_direct ?cutoff ?block_cutoff ?clifford_direct c
-  | Some cache -> (
-      let key = plan_key ~tag:"plan-v1" ?cutoff ?block_cutoff ?clifford_direct c in
-      match Cache.find_value cache ~ns:"segments" key with
-      | Some plan -> plan
-      | None ->
-          let plan = compile_direct ?cutoff ?block_cutoff ?clifford_direct c in
-          Cache.store_value cache ~ns:"segments" key plan;
-          plan)
-
-(* Certified plans live under their own key prefix: a plain "plan-v1"
-   entry carries no certificate, so a certified request can never be
-   served an uncertified plan — the lookups are disjoint by construction. *)
-let compile_cert ?cutoff ?block_cutoff ?clifford_direct ?cache c =
-  match cache with
-  | None -> compile_direct_cert ?cutoff ?block_cutoff ?clifford_direct c
-  | Some cache -> (
-      let key =
-        plan_key ~tag:"plan-cert-v1" ?cutoff ?block_cutoff ?clifford_direct c
-      in
-      match Cache.find_value cache ~ns:"segments" key with
-      | Some pair -> pair
-      | None ->
-          let pair =
-            compile_direct_cert ?cutoff ?block_cutoff ?clifford_direct c
-          in
-          Cache.store_value cache ~ns:"segments" key pair;
-          pair)
+let compile ?cutoff ?block_cutoff ?clifford_direct c =
+  fst (compile_cert ?cutoff ?block_cutoff ?clifford_direct c)

@@ -1,5 +1,8 @@
 (** Segment compiler: split a circuit at its fences and fuse each
-    purely-unitary segment into block operators for [Sim.Batch].
+    purely-unitary segment into block operators. The resulting
+    {!Certify.plan} is the last target of the certified transpile chain
+    ([Morphcore.Verify.certify_transpile], lint MQ021); nothing executes
+    it.
 
     Fences are the non-unitary instructions — tracepoints, measurements,
     resets and classical feedback — plus barriers: no fusion crosses them,
@@ -21,14 +24,13 @@
       beats materializing a huge, mostly-identity block;
     - every candidate block is kept only if its dense (zero-skipping)
       application — [nnz(u)/2^k] multiply-accumulates per amplitude — is
-      at least as cheap as replaying its gates through the direct
-      kernels ([2/2^controls] per amplitude each). Long narrow segments
-      fuse (the characterization hot path); short dense ones (e.g. two
-      random gates that barely share a support) stay [Direct].
+      at least as cheap as replaying its gates by row sweeps
+      ([2/2^controls] per amplitude each). Long narrow segments fuse;
+      short dense ones (e.g. two random gates that barely share a
+      support) stay [Direct].
 
-    Block unitaries are built once per compile by running the segment's
-    gates column by column ([Sim.Engine.unitary]), so a plan pays the
-    circuit walk once and every subsequent batch column reuses it. *)
+    Block unitaries are built by running the segment's gates column by
+    column ([Sim.Engine.unitary]). *)
 
 val default_cutoff : int
 (** [6]: full-segment fusion up to 64-dimensional blocks. Beyond this the
@@ -38,10 +40,7 @@ val default_block_cutoff : int
 (** [3]: greedy packing inside wide segments stops at 8x8 blocks. *)
 
 (** [compile ?cutoff ?block_cutoff ?clifford_direct c] compiles [c] into a
-    batched execution plan. [plan.source_ops] records the circuit's own
-    unitary gate count; [Sim.Batch.ops] on the result counts the fused
-    operators actually applied per run. Raises [Invalid_argument] if a
-    cutoff is [< 1].
+    plan. Raises [Invalid_argument] if a cutoff is [< 1].
 
     Segments whose direct replay cost is provably below any block's
     ([< 1.0] multiply-accumulates per amplitude, e.g. a lone CX) are
@@ -49,31 +48,23 @@ val default_block_cutoff : int
     same plan as before, cheaper compile. With [clifford_direct] (default
     [false]) segments classified Clifford by [Analysis.Classify] also skip
     dense fusion: their sparse kernels are cheap and keeping them as plain
-    gates preserves the option of running them on the stabilizer tableau.
-
-    [cache] memoizes the whole plan, keyed by the exact circuit bytes
-    (barriers fence fusion, so no canonicalization) and the cutoffs. *)
+    gates preserves the option of running them on the stabilizer tableau. *)
 val compile :
   ?cutoff:int ->
   ?block_cutoff:int ->
   ?clifford_direct:bool ->
-  ?cache:Cache.t ->
   Circuit.t ->
-  Sim.Batch.plan
+  Certify.plan
 
 (** [compile_cert] is {!compile} — same plan bit-for-bit ([compile] is
     [fst] of it) — additionally returning the translation-validation
     {!Certify.step} relating the circuit to the plan: each [Block] is a
     [Local_equiv] group over the instructions it fused, [Direct] gates and
     [Fence] instructions are mapped untouched, and dropped barriers carry
-    [Barrier_elim] obligations. With [cache], certified plans are memoized
-    under their own key prefix ([plan-cert-v1]), disjoint from {!compile}'s
-    — a certified request is never served a plan that was cached without
-    its certificate. *)
+    [Barrier_elim] obligations. *)
 val compile_cert :
   ?cutoff:int ->
   ?block_cutoff:int ->
   ?clifford_direct:bool ->
-  ?cache:Cache.t ->
   Circuit.t ->
-  Sim.Batch.plan * Certify.step
+  Certify.plan * Certify.step

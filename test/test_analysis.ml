@@ -301,21 +301,30 @@ let prop_classify_clifford_gen =
     (fun circ ->
       Analysis.Classify.circuit (Gen.build circ) = Analysis.Classify.Clifford)
 
-(* the pinned auto-routing regressions are comparatively expensive
-   (4 characterizations per case), so they run fewer cases *)
+(* each case runs two full characterizations, so these run fewer cases *)
 let char_count = max 10 (count / 4)
 
-let prop_auto_unchanged =
-  QCheck.Test.make
-    ~name:"characterize `Auto bitwise = `Batched off the stabilizer route"
-    ~count:char_count (Gen.program ())
-    (fun c -> Oracle.characterize_auto_unchanged c)
+let prop_matches_reference_pure =
+  QCheck.Test.make ~name:"characterize = reference loop (pure)"
+    ~count:char_count (Gen.pure ())
+    (fun c -> Oracle.characterize_matches_reference c)
 
-let prop_auto_unchanged_basis =
-  QCheck.Test.make
-    ~name:"characterize `Auto bitwise = `Batched (basis kind, non-Clifford)"
+let prop_matches_reference_tomography =
+  QCheck.Test.make ~name:"characterize = reference loop (tomo)"
+    ~count:char_count
+    (Gen.program ~max_qubits:3 ())
+    (fun c ->
+      Oracle.characterize_matches_reference
+        ~mode:(Morphcore.Characterize.Tomography { shots = 64; project = true })
+        c)
+
+let prop_matches_reference_noisy =
+  QCheck.Test.make ~name:"characterize = reference loop (noisy)"
     ~count:char_count (Gen.program ())
-    (fun c -> Oracle.characterize_auto_unchanged ~kind:Clifford.Sampling.Basis c)
+    (fun c ->
+      Oracle.characterize_matches_reference
+        ~noise:(Sim.Noise.make ~p1:0.01 ~p2:0.02 ())
+        c)
 
 let prop_stabilizer_route =
   QCheck.Test.make
@@ -367,8 +376,9 @@ let () =
             prop_restrict_matches;
             prop_stabilizer_traces;
             prop_classify_clifford_gen;
-            prop_auto_unchanged;
-            prop_auto_unchanged_basis;
+            prop_matches_reference_pure;
+            prop_matches_reference_tomography;
+            prop_matches_reference_noisy;
             prop_stabilizer_route;
           ] );
     ]

@@ -117,31 +117,36 @@ let test_stat_check_fails () =
 
 (* ---------------- Sparse sim ---------------- *)
 
+let sparse_run c =
+  let t = Sim.Sparse.basis (Circuit.num_qubits c) 0 in
+  List.iter
+    (function Circuit.Instr.Gate g -> Sim.Sparse.apply_gate g t | _ -> ())
+    (Circuit.instrs c);
+  t
+
 let test_sparse_matches_dense () =
   let c = Circuit.(empty 3 |> h 0 |> cx 0 1 |> t_gate 1 |> cx 1 2 |> s 2) in
-  let sparse = Baselines.Sparse_sim.run c ~input:0 in
+  let densified = Sim.Sparse.to_statevec (sparse_run c) in
   let dense = (Sim.Engine.run c).Sim.Engine.state in
-  let densified = Baselines.Sparse_sim.to_statevec sparse in
   if Qstate.Statevec.fidelity_pure densified dense < 1. -. 1e-9 then
     Alcotest.fail "sparse disagrees with dense"
 
 let test_sparse_support_growth () =
   let c = Circuit.(empty 4 |> h 0 |> h 1 |> h 2 |> h 3) in
-  let s = Baselines.Sparse_sim.run c ~input:0 in
-  Alcotest.(check int) "full support" 16 (Baselines.Sparse_sim.support s);
+  Alcotest.(check int) "full support" 16 (Sim.Sparse.support (sparse_run c));
   let c2 = Circuit.(empty 4 |> x 0 |> cx 0 1) in
-  Alcotest.(check int) "basis stays sparse" 1 (Baselines.Sparse_sim.support (Baselines.Sparse_sim.run c2 ~input:0))
+  Alcotest.(check int) "basis stays sparse" 1 (Sim.Sparse.support (sparse_run c2))
 
 let test_sparse_equal_global_phase () =
-  let a = Baselines.Sparse_sim.run Circuit.(empty 1 |> x 0 |> z 0) ~input:0 in
-  let b = Baselines.Sparse_sim.run Circuit.(empty 1 |> x 0) ~input:0 in
+  let a = sparse_run Circuit.(empty 1 |> x 0 |> z 0) in
+  let b = sparse_run Circuit.(empty 1 |> x 0) in
   (* differ only by global phase -1 *)
-  assert (Baselines.Sparse_sim.equal a b)
+  assert (Baselines.Automa.equal a b)
 
 let test_sparse_detects_relative_phase () =
-  let a = Baselines.Sparse_sim.run Circuit.(empty 1 |> h 0 |> z 0) ~input:0 in
-  let b = Baselines.Sparse_sim.run Circuit.(empty 1 |> h 0) ~input:0 in
-  assert (not (Baselines.Sparse_sim.equal a b))
+  let a = sparse_run Circuit.(empty 1 |> h 0 |> z 0) in
+  let b = sparse_run Circuit.(empty 1 |> h 0) in
+  assert (not (Baselines.Automa.equal a b))
 
 (* ---------------- Automa ---------------- *)
 

@@ -2,7 +2,7 @@
    FNV golden vectors, the QCheck-pinned canonicalization invariant
    (equal unit bytes => bit-identical unit simulation), LRU/byte-bound/
    persistence behavior of the store, every memo layer (characterize
-   incremental + whole-result, verdict, segments, tomography), the
+   incremental + whole-result, verdict, tomography), the
    cache-transparency oracle with a persistence reload, MQ020 cone-hash
    lint, and the JSON-RPC protocol (Jsonx roundtrips, [Server.handle_line]
    unit tests, one end-to-end socket smoke against the built daemon). *)
@@ -293,21 +293,6 @@ let test_verdict_memo () =
   let after = Cache.stats cache in
   Alcotest.(check int) "verdict hit" (before.Cache.hits + 1) after.Cache.hits;
   Alcotest.(check bool) "verdicts identical" true (cold = warm)
-
-let test_segments_memo () =
-  let c = Gen.build (QCheck.Gen.generate1 ~rand:(Config.rand ()) (Gen.gen_pure ())) in
-  let cache = Cache.create () in
-  let cold = Transpile.Segments.compile ~cache c in
-  let before = Cache.stats cache in
-  let warm = Transpile.Segments.compile ~cache c in
-  let after = Cache.stats cache in
-  Alcotest.(check int) "plan hit" (before.Cache.hits + 1) after.Cache.hits;
-  Alcotest.(check bool) "plans identical" true (cold = warm);
-  (* a different cutoff is a different key *)
-  let _ = Transpile.Segments.compile ~cutoff:2 ~cache c in
-  Alcotest.(check bool)
-    "cutoff in the key" true
-    ((Cache.stats cache).Cache.misses > after.Cache.misses)
 
 let test_tomo_memo () =
   let truth =
@@ -759,7 +744,25 @@ let test_jsonx_escaping () =
     (parse_exn {|"A\n\"\\\/"|} = Jsonx.Str "A\n\"\\/");
   Alcotest.(check bool)
     "writer output is always one line" false
-    (String.contains (Jsonx.to_string (Jsonx.Str "multi\nline")) '\n')
+    (String.contains (Jsonx.to_string (Jsonx.Str "multi\nline")) '\n');
+  (* metrics JSON shares the writer's escaper: a label full of control
+     characters round-trips through the parser *)
+  let label = "a\nb\tc\r\x01\"\\" in
+  let was = Obs.enabled () in
+  Obs.configure ~enabled:true;
+  Obs.Metrics.counter_add ~labels:[ ("k", label) ] "jsonx_escape_probe_total" 1;
+  let snap = Obs.Metrics.snapshot_json () in
+  Obs.configure ~enabled:was;
+  Alcotest.(check bool) "metrics JSON is one line" false (String.contains snap '\n');
+  let probe =
+    List.find_opt
+      (fun e -> Jsonx.mem_str "name" e = Some "jsonx_escape_probe_total")
+      (Option.get (Jsonx.mem_list "counters" (parse_exn snap)))
+  in
+  Alcotest.(check (option string))
+    "label round-trips" (Some label)
+    (Option.bind probe (fun e ->
+         Option.bind (Jsonx.member "labels" e) (Jsonx.mem_str "k")))
 
 let prop_server_obs_transparent =
   QCheck.Test.make
@@ -906,7 +909,6 @@ let () =
           Alcotest.test_case "whole-result fallback" `Quick
             test_whole_result_memo;
           Alcotest.test_case "verdict" `Quick test_verdict_memo;
-          Alcotest.test_case "segments" `Quick test_segments_memo;
           Alcotest.test_case "tomography" `Quick test_tomo_memo;
           qtest prop_cache_transparent;
         ] );

@@ -197,39 +197,69 @@ let test_unaccounted_rejected () =
   | Error fs ->
       Alcotest.(check bool) "coverage" true (List.mem "coverage" (kinds fs))
 
-(* ---------------- certified plan cache separation --------------------- *)
+(* ---------------- segment plan shapes --------------------------------- *)
 
-let test_cert_cache_separation () =
-  let c = Circuit.(empty 2 |> h 0 |> t_gate 0 |> cx 0 1) in
-  let cache = Cache.create () in
-  (* warm the UNcertified plan cache *)
-  let plain = Segments.compile ~cache c in
-  let s0 = Cache.stats cache in
-  (* a certified request must not be served the uncertified entry *)
-  let plan, _ = Segments.compile_cert ~cache c in
-  let s1 = Cache.stats cache in
-  Alcotest.(check bool)
-    "certified compile missed the uncertified entry" true
-    (s1.Cache.misses > s0.Cache.misses);
-  (* ... but memoizes under its own key from then on *)
-  let _ = Segments.compile_cert ~cache c in
-  let s2 = Cache.stats cache in
-  Alcotest.(check bool)
-    "second certified compile hits" true
-    (s2.Cache.hits > s1.Cache.hits && s2.Cache.misses = s1.Cache.misses);
-  (* both key families compile the same plan *)
-  Alcotest.(check bool) "same plan" true (plain = plan)
+let certified_plan ?cutoff ?block_cutoff c =
+  let plan, st = Segments.compile_cert ?cutoff ?block_cutoff c in
+  (match Certify.check_plan [ st ] c plan with
+  | Ok _ -> ()
+  | Error fs ->
+      Alcotest.failf "segments: rejected:@.%s"
+        (String.concat "\n" (List.map Certify.failure_message fs)));
+  plan
 
-let test_cached_cert_still_checked () =
-  let c = Circuit.(empty 1 |> h 0 |> t_gate 0) in
-  let cache = Cache.create () in
-  let r1 = Morphcore.Verify.certify_transpile ~cache c in
-  let r2 = Morphcore.Verify.certify_transpile ~cache c in
-  Alcotest.(check bool) "first run certified" true r1.Morphcore.Verify.certified;
-  Alcotest.(check bool) "cached run certified" true r2.Morphcore.Verify.certified;
-  Alcotest.(check bool)
-    "same plan from cache" true
-    (r1.Morphcore.Verify.cert_plan = r2.Morphcore.Verify.cert_plan)
+let operators plan =
+  List.length
+    (List.filter
+       (function Certify.Fence _ -> false | _ -> true)
+       plan.Certify.items)
+
+(* fig5 workload: 3-qubit payload teleportation = 12 unitary gates between
+   feedback fences, fused into 3 per-hop blocks *)
+let test_teleport_fusion_counts () =
+  let c = Benchmarks.Teleport.multi 3 in
+  Alcotest.(check int) "source gates" 12
+    (List.length
+       (List.filter
+          (function Circuit.Instr.Gate _ -> true | _ -> false)
+          (Circuit.instrs c)));
+  Alcotest.(check int) "fused operators" 3 (operators (certified_plan c))
+
+let ghz n =
+  List.fold_left
+    (fun c q -> Circuit.cx q (q + 1) c)
+    (Circuit.(empty n |> h 0))
+    (List.init (n - 1) (fun q -> q))
+
+let test_cutoff_extremes () =
+  let c = Circuit.tracepoint 1 [ 0; 1; 2 ] (ghz 3) in
+  List.iter
+    (fun (cutoff, block_cutoff) ->
+      ignore (certified_plan ~cutoff ~block_cutoff c))
+    [ (1, 1); (2, 2); (6, 3); (26, 26) ];
+  (* cutoff 1 + block_cutoff 1 cannot fuse across the cx gates: the h
+     becomes a 1q block and each cx a Direct item *)
+  Alcotest.(check int) "no fusion at cutoff 1" 3
+    (operators (certified_plan ~cutoff:1 ~block_cutoff:1 c))
+
+let test_direct_wide_gate () =
+  (* a 4-control Toffoli exceeds block_cutoff: kept as a Direct item *)
+  let c =
+    Circuit.(
+      empty 5 |> h 0 |> h 1 |> h 2 |> h 3 |> mcx [ 0; 1; 2; 3 ] 4
+      |> tracepoint 1 [ 4 ])
+  in
+  let plan = certified_plan ~cutoff:3 ~block_cutoff:3 c in
+  Alcotest.(check bool) "wide gate stays direct" true
+    (List.exists
+       (function Certify.Direct _ -> true | _ -> false)
+       plan.Certify.items)
+
+let test_trace_only_circuit () =
+  let c = Circuit.(empty 2 |> tracepoint 1 [ 0; 1 ]) in
+  let plan = certified_plan c in
+  Alcotest.(check int) "no operators" 0 (operators plan);
+  Alcotest.(check int) "one fence" 1 (List.length plan.Certify.items)
 
 (* ---------------- properties ------------------------------------------ *)
 
@@ -284,11 +314,15 @@ let () =
           Alcotest.test_case "unexplained insertion" `Quick
             test_unaccounted_rejected;
         ] );
-      ( "cache",
+      ( "units",
         [
-          Alcotest.test_case "key separation" `Quick test_cert_cache_separation;
-          Alcotest.test_case "cached cert re-checked" `Quick
-            test_cached_cert_still_checked;
+          Alcotest.test_case "fig5 teleport fusion counts" `Quick
+            test_teleport_fusion_counts;
+          Alcotest.test_case "cutoff extremes certify" `Quick
+            test_cutoff_extremes;
+          Alcotest.test_case "wide gate compiled as direct" `Quick
+            test_direct_wide_gate;
+          Alcotest.test_case "trace-only circuit" `Quick test_trace_only_circuit;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

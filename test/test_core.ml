@@ -323,6 +323,33 @@ let test_verify_probe_accuracies_range () =
   let accs = Verify.probe_accuracies ~rng:r ~count:8 approx p ~tracepoint:1 in
   Array.iter (fun a -> assert (a >= -1e-9 && a <= 1. +. 1e-6)) accs
 
+(* the single per-probe loop: fresh Haar input, run_traces, accuracy —
+   bit-identical when replayed by hand on the same generator *)
+let test_verify_probe_accuracies_loop () =
+  let c =
+    Circuit.(empty 3 |> h 0 |> cx 0 1 |> cx 1 2 |> tracepoint 1 [ 0; 1; 2 ])
+  in
+  let program = Program.make c in
+  let ch =
+    Characterize.run ~rng:(Stats.Rng.make 5) ~kind:Clifford.Sampling.Haar
+      program ~count:12
+  in
+  let approx = Approx.of_characterization ch in
+  let accs =
+    Verify.probe_accuracies ~rng:(Stats.Rng.make 6) ~count:5 approx program
+      ~tracepoint:1
+  in
+  let rng = Stats.Rng.make 6 in
+  let expected =
+    Array.init 5 (fun _ ->
+        let input = Clifford.Sampling.haar_state rng 3 in
+        let truth = List.assoc 1 (Program.run_traces ~rng program ~input) in
+        Approx.accuracy
+          (Approx.state_at approx ~tracepoint:1 (dm_of_state input))
+          truth)
+  in
+  Alcotest.(check (array (float 0.))) "probe accuracies" expected accs
+
 (* ---------------- Prop_approx ---------------- *)
 
 let test_prop_approx_exact_on_span () =
@@ -640,6 +667,8 @@ let () =
           Alcotest.test_case "teleport" `Slow test_verify_teleport;
           Alcotest.test_case "check on program" `Quick test_verify_check_on_program;
           Alcotest.test_case "probe accuracies" `Quick test_verify_probe_accuracies_range;
+          Alcotest.test_case "probe_accuracies per-probe loop" `Quick
+            test_verify_probe_accuracies_loop;
           Alcotest.test_case "minimize counterexample" `Slow test_minimize_counterexample_lock;
         ] );
       ( "dist-verdicts",

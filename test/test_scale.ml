@@ -251,7 +251,7 @@ let basis_index st =
   done;
   !best
 
-(* 28-qubit Bernstein-Vazirani through [Characterize.run ~engine:`Auto]:
+(* 28-qubit Bernstein-Vazirani through [Characterize.run]:
    BV is all-Clifford, so the router sends every sample to the
    (lightcone-restricted) stabilizer tableau — the dense engine cannot
    even allocate 2^28 amplitudes — and the traced qubits must read
@@ -266,7 +266,7 @@ let test_bv28_characterize () =
   let program = Morphcore.Program.make ~input_qubits:[ 0; 1 ] c in
   let ch =
     Morphcore.Characterize.run ~rng ~kind:Clifford.Sampling.Basis
-      ~engine:`Auto program ~count:3
+      program ~count:3
   in
   Alcotest.(check int) "stabilizer routed per sample" 3
     (routed_count "stabilizer");
@@ -310,7 +310,7 @@ let test_lock32_characterize () =
   let program = Morphcore.Program.make ~input_qubits:[ 1; 2 ] c in
   let ch =
     Morphcore.Characterize.run ~rng ~kind:Clifford.Sampling.Basis
-      ~engine:`Auto program ~count:3
+      program ~count:3
   in
   Alcotest.(check int) "sparse routed per sample" 3 (routed_count "sparse");
   Alcotest.(check int) "dense never invoked" 0 (routed_count "statevec");
@@ -350,7 +350,7 @@ let test_rank24_characterize () =
   let program = Morphcore.Program.make ~input_qubits:[ 0 ] c in
   let ch =
     Morphcore.Characterize.run ~rng ~kind:Clifford.Sampling.Basis
-      ~engine:`Auto program ~count:2
+      program ~count:2
   in
   Alcotest.(check int) "rank routed per sample" 2 (routed_count "rank");
   Alcotest.(check int) "dense never invoked" 0 (routed_count "statevec");
